@@ -73,9 +73,9 @@ struct kmetrics_t {
   kmon::counter kern_deactivations{"machlock_kern_deactivations_total",
                                    "kobject deactivations (sec. 9)"};
   kmon::counter kern_lockref_fast{"machlock_kern_lockref_fast_total",
-                                  "refcount ops completed by the lockref cmpxchg fast path"};
+                                  "striped refcount ops completed by a slot's cmpxchg fast path"};
   kmon::counter kern_lockref_slow{"machlock_kern_lockref_slow_total",
-                                  "refcount ops that fell back to a locked slow path"};
+                                  "striped refcount ops that took a slot lock or the reconcile"};
   kmon::callback_gauge kern_live_objects;  // kobject::live_objects() at snapshot
 
   // --- smp ---

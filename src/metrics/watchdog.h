@@ -46,7 +46,8 @@ const char* to_string(stall_kind k) noexcept;
 
 namespace watchdog_detail {
 extern std::atomic<bool> g_armed;
-extern thread_local int t_wait_depth;
+// constinit: reads skip the TLS init wrapper (see kprof::detail::t_slot).
+extern constinit thread_local int t_wait_depth;
 void note_wait_begin_slow(stall_kind k, const void* resource, const char* name) noexcept;
 void note_wait_end_slow() noexcept;
 }  // namespace watchdog_detail

@@ -31,7 +31,7 @@ const char* to_string(activity a) noexcept {
 namespace detail {
 
 activity_slot g_slots[k_slots];
-thread_local activity_slot* t_slot = nullptr;
+constinit thread_local activity_slot* t_slot = nullptr;
 
 namespace {
 

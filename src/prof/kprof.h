@@ -97,7 +97,10 @@ struct alignas(cacheline_size) activity_slot {
 
 inline constexpr int k_slots = 256;
 extern activity_slot g_slots[k_slots];
-extern thread_local activity_slot* t_slot;
+// constinit (here and at the definition) tells every includer that the
+// variable has no dynamic initializer, so reads are a plain TLS load
+// rather than a call through the compiler's TLS init wrapper.
+extern constinit thread_local activity_slot* t_slot;
 
 // Claim a slot for the calling thread (releasing it at thread exit) and
 // return it. When the table is full the thread gets a private overflow

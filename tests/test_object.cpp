@@ -1,6 +1,6 @@
 // Tests for kernel objects: reference counting, deactivation, ref_ptr
 // (paper sections 8 and 9). The refcount policy suites run against every
-// policy in kern/refcount.h (locked / atomic / lockref / striped), and the
+// policy in kern/refcount.h (locked / atomic / striped), and the
 // kobject/ref_ptr lifecycle suites are parameterized over the same set so
 // the object protocol is exercised through each count implementation.
 #include <gtest/gtest.h>
@@ -22,8 +22,7 @@ namespace {
 template <typename Policy>
 class RefcountPolicyTest : public ::testing::Test {};
 
-using Policies =
-    ::testing::Types<locked_refcount, atomic_refcount, lockref_refcount, striped_refcount>;
+using Policies = ::testing::Types<locked_refcount, atomic_refcount, striped_refcount>;
 TYPED_TEST_SUITE(RefcountPolicyTest, Policies);
 
 TYPED_TEST(RefcountPolicyTest, StartsAtInitial) {
@@ -72,22 +71,17 @@ TYPED_TEST(RefcountPolicyTest, ConcurrentCloneReleaseIsExact) {
   EXPECT_EQ(c.value(), 1);
 }
 
-// While the embedded lock is held every lockref op must fall back to the
-// locked path and still be exact (the lockref contract: the lock bit makes
-// the holder the owner of the count).
-TEST(LockrefRefcount, OpsFallBackWhileLockIsHeld) {
-  lockref_refcount c(1);
-  c.lock();
-  std::thread other([&] {
-    c.acquire();  // must wait on the embedded lock, then succeed
-    EXPECT_FALSE(c.release());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  c.unlock();
-  other.join();
-  EXPECT_EQ(c.value(), 1);
-  EXPECT_TRUE(c.try_lock());
-  c.unlock();
+// The kobject default is the paper's "portion containing its reference
+// count" in its lock-free form: E7 measures it ahead of the locked count at
+// every thread count, and no other policy is chosen without a caller
+// asking for it.
+TEST(RefcountDefault, KobjectsDefaultToAtomic) {
+  EXPECT_EQ(default_refcount_policy(), refcount_policy::atomic);
+  struct plain : kobject {
+    plain() : kobject("plain") {}
+  };
+  auto o = make_object<plain>();
+  EXPECT_EQ(o->ref_policy(), refcount_policy::atomic);
 }
 
 // Cross-thread release: references acquired on one thread (slot) and
