@@ -1,10 +1,10 @@
 // E13 — Primitive operation costs (Appendices A and B).
 //
 // google-benchmark microbenchmarks of every locking primitive the paper's
-// appendices document, uncontended: the baseline costs every design
-// discussion in the paper builds on (e.g. why the simple lock is "a C
-// integer" and why complex locks tolerate an interlock acquisition per
-// operation).
+// appendices document, uncontended (plus one shared-lock read row at 1, 2
+// and 4 threads): the baseline costs every design discussion in the paper
+// builds on (e.g. why the simple lock is "a C integer", and what a complex
+// lock's read side costs with and without the interlock).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -58,6 +58,20 @@ void BM_ComplexRead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComplexRead)->Arg(0)->Arg(1);  // spin / sleep option
+
+// The read side under concurrency: every benchmark thread reads one shared
+// lock. A flag-free reader enters and leaves by one CAS on the lock's state
+// word, so this row tracks that word's cache line moving between cores.
+void BM_ComplexReadShared(benchmark::State& state) {
+  static lock_data_t l;
+  // Threads start the timed loop together, after thread 0's init.
+  if (state.thread_index() == 0) lock_init(&l, /*can_sleep=*/true, "bm-read-shared");
+  for (auto _ : state) {
+    lock_read(&l);
+    lock_done(&l);
+  }
+}
+BENCHMARK(BM_ComplexReadShared)->Threads(1)->Threads(2)->Threads(4);
 
 void BM_ComplexWrite(benchmark::State& state) {
   lock_data_t l;

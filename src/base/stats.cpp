@@ -7,6 +7,19 @@
 
 namespace mach {
 
+namespace detail {
+
+constinit thread_local unsigned t_way = 0;
+
+unsigned claim_way() noexcept {
+  static std::atomic<unsigned> next{0};
+  const unsigned w = next.fetch_add(1, std::memory_order_relaxed) % num_ways;
+  t_way = w + 1;
+  return w;
+}
+
+}  // namespace detail
+
 void latency_histogram::record(std::uint64_t nanos) noexcept {
   int bucket = nanos == 0 ? 0 : std::bit_width(nanos);
   if (bucket >= num_buckets) bucket = num_buckets - 1;

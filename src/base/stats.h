@@ -11,16 +11,47 @@
 
 namespace mach {
 
-// Cacheline-padded relaxed counter: per-thread/per-object event tallies
-// where cross-thread precision at read time is not required.
-class alignas(cacheline_size) event_counter {
+// Way count of the per-thread striped counters (event_counter below, and
+// the kmon counters and histograms).
+inline constexpr unsigned num_ways = 8;
+
+namespace detail {
+// 1 + the calling thread's way; 0 until its first striped update.
+// constinit keeps the read a plain TLS load (no init-wrapper call).
+extern constinit thread_local unsigned t_way;
+unsigned claim_way() noexcept;
+}  // namespace detail
+
+// The calling thread's way in [0, num_ways), assigned round-robin at first
+// use: cheap, stable per thread, and it spreads concurrent writers across
+// ways even when thread ids are clustered.
+inline unsigned way_index() noexcept {
+  const unsigned w = detail::t_way;
+  return w != 0 ? w - 1 : detail::claim_way();
+}
+
+// Relaxed event tally striped over num_ways cache lines, so threads on
+// different ways never write the same line. value() sums the ways: exact
+// once the writers are quiet, a racy (never torn) total while they run.
+class event_counter {
  public:
-  void add(std::uint64_t n = 1) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const noexcept { return value_.load(std::memory_order_relaxed); }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+  void add(std::uint64_t n = 1) noexcept {
+    ways_[way_index()].v.fetch_add(n, std::memory_order_relaxed);
+  }
+  std::uint64_t value() const noexcept {
+    std::uint64_t sum = 0;
+    for (const way& w : ways_) sum += w.v.load(std::memory_order_relaxed);
+    return sum;
+  }
+  void reset() noexcept {
+    for (way& w : ways_) w.v.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(cacheline_size) way {
+    std::atomic<std::uint64_t> v{0};
+  };
+  way ways_[num_ways];
 };
 
 // Log2-bucketed histogram of nanosecond latencies. Single-writer or

@@ -16,15 +16,6 @@ namespace detail {
 
 std::atomic<bool> g_enabled{false};
 
-unsigned way_index() noexcept {
-  // Round-robin stripe assignment at first use: cheap, stable per thread,
-  // and spreads concurrent writers across ways even when thread ids are
-  // clustered.
-  static std::atomic<unsigned> next{0};
-  thread_local unsigned mine = next.fetch_add(1, std::memory_order_relaxed) % num_ways;
-  return mine;
-}
-
 }  // namespace detail
 
 void enable() noexcept { detail::g_enabled.store(true, std::memory_order_relaxed); }

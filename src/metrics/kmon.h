@@ -44,8 +44,6 @@ namespace mach::kmon {
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
-// The calling thread's stripe index in [0, num_ways).
-unsigned way_index() noexcept;
 }  // namespace detail
 
 // The global switch. enabled() is the update fast path: a single relaxed
@@ -126,8 +124,6 @@ class metric {
   std::string label_value_;
 };
 
-inline constexpr unsigned num_ways = 8;
-
 // Monotonic event counter, striped to keep concurrent writers off one
 // cacheline. value() is a racy sum — the usual diagnostics trade.
 class counter final : public metric {
@@ -137,7 +133,7 @@ class counter final : public metric {
 
   void inc(std::uint64_t n = 1) noexcept {
     if (!enabled()) [[likely]] return;
-    ways_[detail::way_index()].v.fetch_add(n, std::memory_order_relaxed);
+    ways_[way_index()].v.fetch_add(n, std::memory_order_relaxed);
   }
 
   std::uint64_t value() const noexcept {
@@ -211,7 +207,7 @@ class histogram final : public metric {
 
   void record(std::uint64_t nanos) noexcept {
     if (!enabled()) [[likely]] return;
-    stripe& s = stripes_[detail::way_index()];
+    stripe& s = stripes_[way_index()];
     while (s.busy.test_and_set(std::memory_order_acquire)) cpu_relax();
     s.h.record(nanos);
     s.busy.clear(std::memory_order_release);

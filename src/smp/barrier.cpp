@@ -36,8 +36,13 @@ void interrupt_barrier::isr(virtual_cpu& cpu) {
     const std::uint64_t my_round = generation_.load();
     // Spin *inside the ISR* until the initiator releases — the barrier
     // property: nobody leaves before everybody (that must) has entered.
+    // Our entry obligation is met, so drop it before waiting on the
+    // release: otherwise, until the initiator notices the entry, the graph
+    // holds a false two-party cycle (initiator waits on our entry, we wait
+    // on its release).
     const void* me = current_thread_token();
     const std::uint64_t isr_start = ktrace::enabled() ? now_nanos() : 0;
+    wait_graph::instance().resource_released(&entry_slot_[cpu.id()], cpu.bound_token());
     wait_graph::instance().thread_waits(me, &release_slot_,
                                         "barrier-release");
     backoff bo;
@@ -74,15 +79,11 @@ interrupt_barrier::status interrupt_barrier::run(std::uint32_t participant_mask,
 
   simple_lock(&round_lock_);  // one round at a time
   const std::uint64_t round_start = ktrace::enabled() ? now_nanos() : 0;
-  generation_.fetch_add(1);   // unwedges stragglers from the previous round
-  entered_.store(0);
-  released_.store(false);
-  aborted_.store(false);
-  needed_.store(others);
-  round_active_.store(true);
 
   // Deadlock-detector bookkeeping: each missing participant's entry is a
-  // resource held by whatever thread is bound to that CPU.
+  // resource held by whatever thread is bound to that CPU. Recorded before
+  // the round is armed, so a participant's ISR (which drops its own entry
+  // obligation) always finds it in place.
   graph.resource_held(&release_slot_, me, "barrier-release");
   std::uint32_t tracked = 0;
   for (int i = 0; i < m.ncpus(); ++i) {
@@ -95,6 +96,13 @@ interrupt_barrier::status interrupt_barrier::run(std::uint32_t participant_mask,
     graph.thread_waits(me, &entry_slot_[i], "barrier-entry");
     tracked |= bit;
   }
+  generation_.fetch_add(1);  // unwedges stragglers from the previous round
+  entered_.store(0);
+  released_.store(false);
+  aborted_.store(false);
+  needed_.store(others);
+  round_active_.store(true);
+
   auto untrack = [&](std::uint32_t bits) {
     for (int i = 0; i < m.ncpus(); ++i) {
       const std::uint32_t bit = 1u << i;

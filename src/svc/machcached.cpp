@@ -72,7 +72,6 @@ mc_cache::shard& mc_cache::shard_for(std::uint64_t key) const {
 }
 
 ref_ptr<mc_item> mc_cache::get(std::uint64_t key) {
-  gets_.add();
   shard& sh = shard_for(key);
   ref_ptr<mc_item> r;
   {
@@ -148,9 +147,9 @@ std::size_t mc_cache::size() const {
 
 mc_cache_stats mc_cache::stats() const {
   mc_cache_stats s;
-  s.gets = gets_.value();
   s.hits = hits_.value();
   s.misses = misses_.value();
+  s.gets = s.hits + s.misses;
   s.sets = sets_.value();
   s.set_failures = set_failures_.value();
   s.deletes = deletes_.value();

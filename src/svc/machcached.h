@@ -87,7 +87,7 @@ struct mc_cache_config {
 };
 
 struct mc_cache_stats {
-  std::uint64_t gets = 0;
+  std::uint64_t gets = 0;  // hits + misses
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t sets = 0;
@@ -133,8 +133,9 @@ class mc_cache {
   mc_cache_config cfg_;
   zone vzone_;
   std::vector<std::unique_ptr<shard>> shards_;
-  // Cacheline-padded so the counters do not ping-pong under load.
-  mutable event_counter gets_, hits_, misses_, sets_, set_failures_, deletes_, delete_misses_;
+  // Per-thread striped, so a GET's single counter add stays off the
+  // cache lines other threads write. stats().gets is hits + misses.
+  event_counter hits_, misses_, sets_, set_failures_, deletes_, delete_misses_;
 };
 
 // Reads MACHLOCK_CACHE_SHARDS (default `def`), clamped to [1, 1024].

@@ -12,6 +12,36 @@
 namespace mach {
 namespace {
 
+constexpr std::uint32_t kWantWrite = lock_data_t::kWantWrite;
+constexpr std::uint32_t kWantUpgrade = lock_data_t::kWantUpgrade;
+constexpr std::uint32_t kSlowReaders = lock_data_t::kSlowReaders;
+constexpr std::uint32_t kWant = kWantWrite | kWantUpgrade;
+
+constexpr std::uint32_t readers(std::uint32_t state) { return state & ~lock_data_t::kFlags; }
+
+// Views of the state word for code running under the interlock. Flags
+// change only under the interlock, so they are stable there; the reader
+// count may still move if no flag is set (fast-path readers).
+inline std::uint32_t read_count(const lock_data_t* l) { return readers(l->state.load()); }
+inline bool any_set(const lock_data_t* l, std::uint32_t flags) {
+  return (l->state.load() & flags) != 0;
+}
+
+// Interlock held, kWantUpgrade clear, caller holds for read: set
+// kWantUpgrade and drop the caller's read hold in one RMW, so the flag is
+// up before the drain loop reads the count (as in lock_write). Adding
+// kWantUpgrade cannot carry, since the bit is clear.
+inline void claim_upgrade(lock_t l) { l->state.fetch_add(kWantUpgrade - 1); }
+
+// Interlock held by the write or upgrade holder: clear `flag` and add
+// `readers_added` with a plain store. No fast path can change the word
+// meanwhile: entry needs it flag-free, and exit needs a reader count,
+// which a write-side hold keeps at zero unless recursion has set
+// kSlowReaders, which closes the fast exit too.
+inline void holder_release(lock_t l, std::uint32_t flag, std::uint32_t readers_added) {
+  l->state.store((l->state.load() & ~flag) + readers_added, std::memory_order_release);
+}
+
 // --- hold/wait-time profiling (ktrace-gated; interlock held) ---
 
 // Stamp the start of a wait the first time a wait loop iterates.
@@ -91,6 +121,65 @@ void lock_wakeup(lock_t l) {
   }
 }
 
+// Interlock held. Keep kSlowReaders in step with the two options whose
+// reader rules only the interlock path implements.
+void sync_slow_readers(lock_t l) {
+  if (l->recursion_thread != nullptr || !l->writer_priority) {
+    l->state.fetch_or(kSlowReaders);
+  } else {
+    l->state.fetch_and(~kSlowReaders);
+  }
+}
+
+// Read-side fast paths, in the cmpxchg-loop style of Linux's lockref: one
+// CAS on the state word and no interlock. Each returns false, having
+// changed nothing, when the interlock path must decide instead.
+
+// Entry is allowed only from a flag-free word, so a pending writer or
+// upgrade (whose flag is set by an RMW on this same word) refuses it.
+inline bool fast_read_enter(lock_t l) {
+  std::uint32_t s = l->state.load(std::memory_order_relaxed);
+  while ((s & lock_data_t::kFlags) == 0) {
+    if (l->state.compare_exchange_weak(s, s + 1, std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+      l->fast_reads.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
+  }
+  return false;
+}
+
+// Exit: with kSlowReaders clear, a non-zero count means the caller holds
+// for read (write and upgrade holds keep the count at zero).
+inline bool fast_read_exit(lock_t l) {
+  std::uint32_t s = l->state.load(std::memory_order_relaxed);
+  while ((s & kSlowReaders) == 0 && readers(s) != 0) {
+    if (l->state.compare_exchange_weak(s, s - 1, std::memory_order_release,
+                                       std::memory_order_relaxed)) {
+      if (readers(s) == 1 && (s & kWant) != 0) {
+        // Last reader out under a draining writer or upgrader. The drainer
+        // set its flag before reading the count, so it either saw our
+        // decrement or is waiting for this wakeup.
+        simple_lock(&l->interlock);
+        lock_wakeup(l);
+        simple_unlock(&l->interlock);
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
+inline void note_read_held(lock_t l, const void* me) {
+  kprof::publish(kprof::activity::holding, l->name);
+  wait_graph::instance().resource_held(l, me, l->name);
+}
+
+inline void note_released(lock_t l, const void* me) {
+  kprof::publish(kprof::activity::running, nullptr);
+  wait_graph::instance().resource_released(l, me);
+}
+
 
 // Release the interlock, then report the invariant violation. panic()
 // normally aborts, but tests install a throwing hook; releasing first keeps
@@ -107,21 +196,21 @@ void lock_wakeup(lock_t l) {
 // Without it, readers keep piling in while read_count > 0 — the starvation
 // experiment E3 measures.
 bool reader_must_wait(const lock_data_t* l) {
-  if (l->writer_priority) return l->want_write || l->want_upgrade;
-  return (l->want_write || l->want_upgrade) && l->read_count == 0;
+  const std::uint32_t s = l->state.load();
+  if (l->writer_priority) return (s & kWant) != 0;
+  return (s & kWant) != 0 && readers(s) == 0;
 }
 
 }  // namespace
 
 void lock_init(lock_t l, bool can_sleep, const char* name) {
   simple_lock_init(&l->interlock, name, /*tracked=*/false);
-  l->want_write = false;
-  l->want_upgrade = false;
+  l->state.store(0);
+  l->fast_reads.store(0, std::memory_order_relaxed);
   l->waiting = false;
   l->can_sleep = can_sleep;
   l->writer_priority = true;
   l->mach25_try_upgrade_bug = false;
-  l->read_count = 0;
   l->recursion_thread = nullptr;
   l->recursion_depth = 0;
   l->write_holder = nullptr;
@@ -134,12 +223,16 @@ void lock_init(lock_t l, bool can_sleep, const char* name) {
 
 void lock_read(lock_t l) {
   const void* me = current_thread_token();
+  if (fast_read_enter(l)) {
+    note_read_held(l, me);
+    return;
+  }
   simple_lock(&l->interlock);
   if (l->recursion_thread == me) {
     // The recursive holder is never blocked by pending write/upgrade
     // requests (paper sec. 4) — that is what lets it finish the work those
     // requests are waiting on.
-    ++l->read_count;
+    l->state.fetch_add(1);
     ++l->stats.recursive_acquisitions;
     ++l->stats.read_acquisitions;
     simple_unlock(&l->interlock);
@@ -161,10 +254,9 @@ void lock_read(lock_t l) {
     wait_graph::instance().thread_wait_done(me, l);
     wait_finish(l, wait_start, trace_kind::complex_read_wait);
   }
-  ++l->read_count;
+  l->state.fetch_add(1);
   ++l->stats.read_acquisitions;
-  kprof::publish(kprof::activity::holding, l->name);
-  wait_graph::instance().resource_held(l, me, l->name);
+  note_read_held(l, me);
   simple_unlock(&l->interlock);
 }
 
@@ -172,7 +264,7 @@ void lock_write(lock_t l) {
   const void* me = current_thread_token();
   simple_lock(&l->interlock);
   if (l->recursion_thread == me) {
-    if (l->want_write && l->write_holder == me) {
+    if (any_set(l, kWantWrite) && l->write_holder == me) {
       ++l->recursion_depth;
       ++l->stats.recursive_acquisitions;
       ++l->stats.write_acquisitions;
@@ -196,14 +288,17 @@ void lock_write(lock_t l) {
     }
   };
   // Wait our turn behind other writers/upgraders...
-  while (l->want_write || l->want_upgrade) {
+  while (any_set(l, kWant)) {
     note_wait();
     lock_wait(l, bo);
   }
-  l->want_write = true;  // commits us: no new readers may be added
+  // Commits us: no new readers may be added. The flag is set before the
+  // count is read, which is what lets the last fast-path reader out skip
+  // the interlock unless a wakeup is owed.
+  l->state.fetch_or(kWantWrite);
   // ...then drain existing readers, yielding to upgrades (upgrades are
   // favored over writes to avoid deadlocking a reader that must upgrade).
-  while (l->read_count > 0 || l->want_upgrade) {
+  while (read_count(l) > 0 || any_set(l, kWantUpgrade)) {
     note_wait();
     lock_wait(l, bo);
   }
@@ -223,27 +318,26 @@ void lock_write(lock_t l) {
 bool lock_read_to_write(lock_t l) {
   const void* me = current_thread_token();
   simple_lock(&l->interlock);
-  if (l->read_count <= 0) fail_locked(l, std::string("upgrade without read hold on ") + l->name);
+  if (read_count(l) == 0) fail_locked(l, std::string("upgrade without read hold on ") + l->name);
   if (l->recursion_thread == me) {
     fail_locked(l, std::string("upgrade of recursive read acquisition on ") + l->name);
   }
-  --l->read_count;
-  if (l->want_upgrade) {
+  if (any_set(l, kWantUpgrade)) {
     // Another upgrade is pending: ours fails and RELEASES the read lock
     // (required to let the other upgrade drain; the caller needs recovery
     // logic — the cost sec. 7.1 complains about, measured in E4).
+    l->state.fetch_sub(1);
     ++l->stats.upgrades_failed;
-    kprof::publish(kprof::activity::running, nullptr);
-    wait_graph::instance().resource_released(l, me);
+    note_released(l, me);
     lock_wakeup(l);  // our released read hold may unblock the winner
     simple_unlock(&l->interlock);
     return true;  // TRUE = upgrade failed
   }
-  l->want_upgrade = true;
+  claim_upgrade(l);
   bool waited = false;
   std::uint64_t wait_start = 0;
   backoff bo;
-  while (l->read_count > 0) {
+  while (read_count(l) > 0) {
     if (!waited) {
       waited = true;
       wait_start = wait_stamp(wait_start);
@@ -273,12 +367,7 @@ void lock_write_to_read(lock_t l) {
     fail_locked(l, std::string("downgrade with nested write acquisitions on ") + l->name);
   }
   hold_finish(l);  // the write-side hold ends at the downgrade
-  ++l->read_count;
-  if (l->want_upgrade) {
-    l->want_upgrade = false;
-  } else {
-    l->want_write = false;
-  }
+  holder_release(l, any_set(l, kWantUpgrade) ? kWantUpgrade : kWantWrite, 1);
   l->write_holder = nullptr;
   ++l->stats.downgrades;
   lock_wakeup(l);  // other readers may now enter
@@ -287,36 +376,35 @@ void lock_write_to_read(lock_t l) {
 
 void lock_done(lock_t l) {
   const void* me = current_thread_token();
+  if (fast_read_exit(l)) {
+    note_released(l, me);
+    return;
+  }
   simple_lock(&l->interlock);
-  if (l->read_count > 0) {
-    --l->read_count;
-    if (l->read_count == 0 || l->recursion_thread != me) {
-      kprof::publish(kprof::activity::running, nullptr);
-      wait_graph::instance().resource_released(l, me);
-    }
+  if (read_count(l) > 0) {
+    const std::uint32_t left = readers(l->state.fetch_sub(1)) - 1;
+    if (left == 0 || l->recursion_thread != me) note_released(l, me);
   } else if (l->recursion_depth > 0) {
     if (l->recursion_thread != me) {
       fail_locked(l, std::string("lock_done of recursive depth by non-holder on ") + l->name);
     }
     --l->recursion_depth;
-  } else if (l->want_upgrade) {
+  } else if (any_set(l, kWantUpgrade)) {
     if (l->write_holder != me) {
       fail_locked(l, std::string("lock_done of upgrade hold by non-holder on ") + l->name);
     }
-    l->want_upgrade = false;
     l->write_holder = nullptr;
     hold_finish(l);
-    kprof::publish(kprof::activity::running, nullptr);
-    wait_graph::instance().resource_released(l, me);
+    holder_release(l, kWantUpgrade, 0);
+    note_released(l, me);
   } else {
-    if (!(l->want_write && l->write_holder == me)) {
+    if (!(any_set(l, kWantWrite) && l->write_holder == me)) {
       fail_locked(l, std::string("lock_done of unheld lock ") + l->name);
     }
-    l->want_write = false;
     l->write_holder = nullptr;
     hold_finish(l);
-    kprof::publish(kprof::activity::running, nullptr);
-    wait_graph::instance().resource_released(l, me);
+    holder_release(l, kWantWrite, 0);
+    note_released(l, me);
   }
   lock_wakeup(l);
   simple_unlock(&l->interlock);
@@ -324,9 +412,13 @@ void lock_done(lock_t l) {
 
 bool lock_try_read(lock_t l) {
   const void* me = current_thread_token();
+  if (fast_read_enter(l)) {
+    note_read_held(l, me);
+    return true;
+  }
   simple_lock(&l->interlock);
   if (l->recursion_thread == me) {
-    ++l->read_count;
+    l->state.fetch_add(1);
     ++l->stats.recursive_acquisitions;
     ++l->stats.read_acquisitions;
     simple_unlock(&l->interlock);
@@ -336,10 +428,9 @@ bool lock_try_read(lock_t l) {
     simple_unlock(&l->interlock);
     return false;
   }
-  ++l->read_count;
+  l->state.fetch_add(1);
   ++l->stats.read_acquisitions;
-  kprof::publish(kprof::activity::holding, l->name);
-  wait_graph::instance().resource_held(l, me, l->name);
+  note_read_held(l, me);
   simple_unlock(&l->interlock);
   return true;
 }
@@ -347,18 +438,20 @@ bool lock_try_read(lock_t l) {
 bool lock_try_write(lock_t l) {
   const void* me = current_thread_token();
   simple_lock(&l->interlock);
-  if (l->recursion_thread == me && l->want_write && l->write_holder == me) {
+  if (l->recursion_thread == me && any_set(l, kWantWrite) && l->write_holder == me) {
     ++l->recursion_depth;
     ++l->stats.recursive_acquisitions;
     ++l->stats.write_acquisitions;
     simple_unlock(&l->interlock);
     return true;
   }
-  if (l->want_write || l->want_upgrade || l->read_count > 0) {
+  // Claim kWantWrite only from "no readers, no want flag": a CAS, because
+  // fast-path readers may enter until the flag is set.
+  std::uint32_t idle = l->state.load() & kSlowReaders;
+  if (!l->state.compare_exchange_strong(idle, idle | kWantWrite)) {
     simple_unlock(&l->interlock);
     return false;
   }
-  l->want_write = true;
   l->write_holder = me;
   ++l->stats.write_acquisitions;
   hold_begin(l);
@@ -371,19 +464,18 @@ bool lock_try_write(lock_t l) {
 bool lock_try_read_to_write(lock_t l) {
   const void* me = current_thread_token();
   simple_lock(&l->interlock);
-  if (l->read_count <= 0) fail_locked(l, std::string("try-upgrade without read hold on ") + l->name);
-  if (l->want_upgrade || l->recursion_thread == me) {
+  if (read_count(l) == 0) fail_locked(l, std::string("try-upgrade without read hold on ") + l->name);
+  if (any_set(l, kWantUpgrade) || l->recursion_thread == me) {
     // Would deadlock (or is a recursive read): keep the read lock and
     // report failure — unlike lock_read_to_write, nothing is dropped.
     simple_unlock(&l->interlock);
     return false;
   }
-  l->want_upgrade = true;
-  --l->read_count;
+  claim_upgrade(l);
   bool waited = false;
   std::uint64_t wait_start = 0;
   backoff bo;
-  while (l->read_count > 0) {
+  while (read_count(l) > 0) {
     if (!waited) {
       waited = true;
       wait_start = wait_stamp(wait_start);
@@ -421,6 +513,7 @@ void lock_set_recursive(lock_t l) {
     fail_locked(l, std::string("lock_set_recursive without write hold on ") + l->name);
   }
   l->recursion_thread = me;
+  sync_slow_readers(l);
   simple_unlock(&l->interlock);
 }
 
@@ -434,12 +527,14 @@ void lock_clear_recursive(lock_t l) {
     fail_locked(l, std::string("lock_clear_recursive with nested holds on ") + l->name);
   }
   l->recursion_thread = nullptr;
+  sync_slow_readers(l);
   simple_unlock(&l->interlock);
 }
 
 void lock_set_writer_priority(lock_t l, bool on) {
   simple_lock(&l->interlock);
   l->writer_priority = on;
+  sync_slow_readers(l);
   simple_unlock(&l->interlock);
 }
 
@@ -453,6 +548,7 @@ complex_lock_stats lock_stats(lock_t l) {
   simple_lock(&l->interlock);
   complex_lock_stats s = l->stats;
   simple_unlock(&l->interlock);
+  s.read_acquisitions += l->fast_reads.load(std::memory_order_relaxed);
   return s;
 }
 

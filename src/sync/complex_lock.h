@@ -24,12 +24,21 @@
 //   * the internal state of every complex lock is protected by a simple
 //     lock, so the only machine dependency is the simple lock itself.
 //
+// Departure from Appendix B: the reader count and the two want flags live
+// in one atomic state word, and a reader whose entry or exit sees no flag
+// set does it with one CAS on that word instead of taking the interlock.
+// Every other transition (writes, upgrades, downgrades, recursion, waits,
+// option changes) still runs under the interlock, with its flag updates
+// made as read-modify-writes on the word.
+//
 // Extension for experiment E3: writers' priority can be disabled per lock
 // (lock_set_writer_priority) to measure the starvation it prevents.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
+#include "base/compiler.h"
 #include "base/stats.h"
 #include "sync/lockstat.h"
 #include "sync/simple_lock.h"
@@ -38,7 +47,9 @@ namespace mach {
 
 // Cumulative per-lock statistics, mutated under the interlock (so reading
 // them while the lock is in active use gives a consistent-enough snapshot
-// for reporting, and updating them costs no extra synchronization).
+// for reporting, and updating them costs no extra synchronization). Reads
+// that took the fast path are tallied in lock_data_t::fast_reads instead;
+// lock_stats() folds them into read_acquisitions.
 struct complex_lock_stats {
   std::uint64_t read_acquisitions = 0;
   std::uint64_t write_acquisitions = 0;
@@ -55,8 +66,6 @@ struct lock_data_t {
   simple_lock_data_t interlock{"complex-interlock", /*track=*/false};
 
   // Protected by interlock:
-  bool want_write = false;    // a writer holds, or is draining readers
-  bool want_upgrade = false;  // an upgrader holds, or is draining readers
   bool waiting = false;       // someone is blocked on this lock (sleep mode)
   bool can_sleep = true;      // Sleep option
   bool writer_priority = true;  // ablation knob (E3); true is Mach behaviour
@@ -65,7 +74,6 @@ struct lock_data_t {
   // will block even if the Sleep option is disabled". Off by default (we
   // implement the documented-correct behaviour); enable to reproduce 2.5.
   bool mach25_try_upgrade_bug = false;
-  int read_count = 0;
 
   // Recursive option (paper sec. 4): the designated recursion holder and
   // the extra depth of its nested write acquisitions.
@@ -84,6 +92,17 @@ struct lock_data_t {
   std::uint64_t write_acquire_nanos = 0;
   latency_histogram hold_hist;
   latency_histogram wait_hist;
+
+  // The state word, on its own cache line: the reader count in the low
+  // bits plus the flags below. The fast paths write only this line.
+  static constexpr std::uint32_t kWantWrite = 1u << 31;    // a writer holds, or drains readers
+  static constexpr std::uint32_t kWantUpgrade = 1u << 30;  // an upgrader holds, or drains readers
+  // Readers must take the interlock: set while recursion_thread is set or
+  // writers' priority is off, the cases whose reader rules need it.
+  static constexpr std::uint32_t kSlowReaders = 1u << 29;
+  static constexpr std::uint32_t kFlags = kWantWrite | kWantUpgrade | kSlowReaders;
+  alignas(cacheline_size) std::atomic<std::uint32_t> state{0};
+  std::atomic<std::uint64_t> fast_reads{0};  // read acquisitions that skipped the interlock
 
   lock_data_t() { lock_registry::instance().add(this); }
   ~lock_data_t() { lock_registry::instance().remove(this); }
@@ -135,7 +154,8 @@ void lock_set_writer_priority(lock_t l, bool on);
 // bug (blocks through the event system even when Sleep is disabled).
 void lock_set_mach25_try_upgrade_bug(lock_t l, bool on);
 
-// Snapshot of the statistics (taken under the interlock).
+// Snapshot of the statistics (taken under the interlock; fast-path reads
+// are added in from their relaxed counter).
 complex_lock_stats lock_stats(lock_t l);
 
 // --- RAII guards (modern call sites; CP.20) ---

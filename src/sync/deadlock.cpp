@@ -9,15 +9,10 @@
 
 namespace mach {
 
-const void* current_thread_token() noexcept {
-  thread_local char token;
-  return &token;
-}
-
-int& held_tracked_simple_locks() noexcept {
-  thread_local int count = 0;
-  return count;
-}
+namespace detail {
+constinit thread_local char t_token = 0;
+constinit thread_local int t_held_tracked = 0;
+}  // namespace detail
 
 struct wait_graph::impl {
   mutable std::mutex m;
@@ -44,11 +39,6 @@ struct wait_graph::impl {
   }
 };
 
-wait_graph& wait_graph::instance() noexcept {
-  static wait_graph g;
-  return g;
-}
-
 wait_graph::impl& wait_graph::self() const {
   static impl i;
   return i;
@@ -60,17 +50,14 @@ void wait_graph::name_thread(const void* thread, std::string name) {
   s.thread_names[thread] = std::move(name);
 }
 
-void wait_graph::thread_waits(const void* thread, const void* resource,
-                              const char* resource_name) {
-  if (!enabled()) return;
+void wait_graph::add_wait(const void* thread, const void* resource, const char* resource_name) {
   impl& s = self();
   std::lock_guard<std::mutex> g(s.m);
   s.waits.emplace(thread, resource);
   if (resource_name != nullptr) s.resource_names[resource] = resource_name;
 }
 
-void wait_graph::thread_wait_done(const void* thread, const void* resource) {
-  if (!enabled()) return;
+void wait_graph::remove_wait(const void* thread, const void* resource) {
   impl& s = self();
   std::lock_guard<std::mutex> g(s.m);
   auto [lo, hi] = s.waits.equal_range(thread);
@@ -82,17 +69,14 @@ void wait_graph::thread_wait_done(const void* thread, const void* resource) {
   }
 }
 
-void wait_graph::resource_held(const void* resource, const void* thread,
-                               const char* resource_name) {
-  if (!enabled()) return;
+void wait_graph::add_hold(const void* resource, const void* thread, const char* resource_name) {
   impl& s = self();
   std::lock_guard<std::mutex> g(s.m);
   s.holds[resource].insert(thread);
   if (resource_name != nullptr) s.resource_names[resource] = resource_name;
 }
 
-void wait_graph::resource_released(const void* resource, const void* thread) {
-  if (!enabled()) return;
+void wait_graph::remove_hold(const void* resource, const void* thread) {
   impl& s = self();
   std::lock_guard<std::mutex> g(s.m);
   auto it = s.holds.find(resource);

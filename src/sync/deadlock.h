@@ -20,19 +20,32 @@
 
 namespace mach {
 
+namespace detail {
+// constinit (here and at the definition) makes reads a plain TLS access
+// with no init-wrapper call, so the inline accessors below cost the lock
+// fast paths no out-of-line call (see kprof::detail::t_slot).
+extern constinit thread_local char t_token;
+extern constinit thread_local int t_held_tracked;
+}  // namespace detail
+
 // Stable per-thread identity usable below the scheduler layer (the
 // scheduler itself uses simple locks, so lock debugging cannot depend on
 // kthread). The token is the address of a thread_local object.
-const void* current_thread_token() noexcept;
+inline const void* current_thread_token() noexcept { return &detail::t_token; }
 
 // Count of *tracked* simple locks held by the current thread; the event
 // system asserts this is zero in thread_block (the paper's "may not be held
 // during blocking operations" rule).
-int& held_tracked_simple_locks() noexcept;
+inline int& held_tracked_simple_locks() noexcept { return detail::t_held_tracked; }
 
 class wait_graph {
  public:
-  static wait_graph& instance() noexcept;
+  // Inline (the object is constant-initialized, so there is no guard): every
+  // lock operation asks for it.
+  static wait_graph& instance() noexcept {
+    static wait_graph g;
+    return g;
+  }
 
   void set_enabled(bool on) noexcept { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const noexcept { return enabled_.load(std::memory_order_relaxed); }
@@ -40,11 +53,20 @@ class wait_graph {
   // Give the current thread a report-friendly name.
   void name_thread(const void* thread, std::string name);
 
-  // Edge bookkeeping. All are no-ops when tracing is disabled.
-  void thread_waits(const void* thread, const void* resource, const char* resource_name);
-  void thread_wait_done(const void* thread, const void* resource);
-  void resource_held(const void* resource, const void* thread, const char* resource_name);
-  void resource_released(const void* resource, const void* thread);
+  // Edge bookkeeping. All are no-ops when tracing is disabled, and the
+  // check is inline, so a disabled graph costs lock paths no call.
+  void thread_waits(const void* thread, const void* resource, const char* resource_name) {
+    if (enabled()) [[unlikely]] add_wait(thread, resource, resource_name);
+  }
+  void thread_wait_done(const void* thread, const void* resource) {
+    if (enabled()) [[unlikely]] remove_wait(thread, resource);
+  }
+  void resource_held(const void* resource, const void* thread, const char* resource_name) {
+    if (enabled()) [[unlikely]] add_hold(resource, thread, resource_name);
+  }
+  void resource_released(const void* resource, const void* thread) {
+    if (enabled()) [[unlikely]] remove_hold(resource, thread);
+  }
 
   struct cycle {
     // Human-readable: "threadA -> lock L -> threadB -> ... -> threadA".
@@ -74,6 +96,10 @@ class wait_graph {
 
  private:
   wait_graph() = default;
+  void add_wait(const void* thread, const void* resource, const char* resource_name);
+  void remove_wait(const void* thread, const void* resource);
+  void add_hold(const void* resource, const void* thread, const char* resource_name);
+  void remove_hold(const void* resource, const void* thread);
   std::atomic<bool> enabled_{false};
   impl& self() const;
 };

@@ -90,7 +90,8 @@ std::vector<lock_stat_entry> lock_registry::snapshot() const {
     for (lock_data_t* l : s.complex) {
       // Racy reads of the interlock-protected stats: fine for diagnostics.
       lock_stat_entry e{l, l->name, true,
-                        l->stats.read_acquisitions + l->stats.write_acquisitions,
+                        l->stats.read_acquisitions + l->stats.write_acquisitions +
+                            l->fast_reads.load(std::memory_order_relaxed),
                         l->stats.sleeps + l->stats.spins};
       fill_latency(e, l->hold_hist, l->wait_hist);
       out.push_back(e);

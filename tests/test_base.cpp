@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "base/backoff.h"
@@ -46,6 +47,25 @@ TEST(EventCounter, AccumulatesAndResets) {
   c.add();
   c.add(41);
   EXPECT_EQ(c.value(), 42u);
+  c.reset();
+  EXPECT_EQ(c.value(), 0u);
+}
+
+TEST(EventCounter, StripedSumIsExactAcrossThreads) {
+  // One cache line per way, so threads on different ways never share one.
+  static_assert(sizeof(event_counter) == num_ways * cacheline_size);
+  event_counter c;
+  constexpr int threads = 12;  // more threads than ways: some share a way
+  constexpr std::uint64_t adds = 50000;
+  std::vector<std::thread> ts;
+  for (int t = 0; t < threads; ++t) {
+    ts.emplace_back([&c] {
+      for (std::uint64_t i = 0; i < adds; ++i) c.add();
+      c.add(2);
+    });
+  }
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(c.value(), threads * (adds + 2));
   c.reset();
   EXPECT_EQ(c.value(), 0u);
 }

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "sched/event.h"
 #include "sched/kthread.h"
 #include "sync/complex_lock.h"
 #include "tests/test_util.h"
@@ -393,6 +394,235 @@ TEST(ComplexLock, StatsTrackEverything) {
   EXPECT_EQ(s.upgrades_succeeded, 1u);
   EXPECT_EQ(s.upgrades_failed, 0u);
 }
+
+// --- read fast path: flag-free readers enter and leave by one CAS ---
+
+std::uint64_t interlock_acquisitions(const lock_data_t& l) {
+  return l.interlock.stat_acquisitions;  // quiescent reads only
+}
+
+// Spin until `pred` holds, up to a bound; false on timeout.
+template <class Pred>
+bool eventually(Pred pred, std::chrono::milliseconds bound = 5s) {
+  const auto deadline = std::chrono::steady_clock::now() + bound;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ComplexLockFastPath, UncontendedReadTakesNoInterlock) {
+  lock_data_t l;
+  lock_init(&l, true, "fast");
+  const std::uint64_t before = interlock_acquisitions(l);
+  lock_read(&l);
+  lock_done(&l);
+  ASSERT_TRUE(lock_try_read(&l));
+  lock_read(&l);  // a second concurrent read hold
+  lock_done(&l);
+  lock_done(&l);
+  EXPECT_EQ(interlock_acquisitions(l), before);
+  EXPECT_EQ(lock_stats(&l).read_acquisitions, 3u);
+}
+
+TEST(ComplexLockFastPath, RecursionTakesInterlockPath) {
+  lock_data_t l;
+  lock_init(&l, true, "fast-recursive");
+  lock_write(&l);
+  lock_set_recursive(&l);
+  lock_write_to_read(&l);
+  std::uint64_t before = interlock_acquisitions(l);
+  lock_read(&l);  // recursive read
+  EXPECT_GT(interlock_acquisitions(l), before);
+  before = interlock_acquisitions(l);
+  lock_done(&l);
+  EXPECT_GT(interlock_acquisitions(l), before);
+  lock_clear_recursive(&l);
+  lock_done(&l);
+  // Recursion cleared: reads are fast again.
+  before = interlock_acquisitions(l);
+  lock_read(&l);
+  lock_done(&l);
+  EXPECT_EQ(interlock_acquisitions(l), before);
+}
+
+TEST(ComplexLockFastPath, NoWriterPriorityTakesInterlockPath) {
+  lock_data_t l;
+  lock_init(&l, true, "fast-nopriority");
+  lock_set_writer_priority(&l, false);
+  std::uint64_t before = interlock_acquisitions(l);
+  lock_read(&l);
+  EXPECT_EQ(interlock_acquisitions(l), before + 1);
+  lock_done(&l);
+  EXPECT_EQ(interlock_acquisitions(l), before + 2);
+  ASSERT_TRUE(lock_try_read(&l));
+  lock_done(&l);
+  EXPECT_EQ(interlock_acquisitions(l), before + 4);
+  lock_set_writer_priority(&l, true);
+  before = interlock_acquisitions(l);
+  lock_read(&l);
+  lock_done(&l);
+  EXPECT_EQ(interlock_acquisitions(l), before);
+}
+
+TEST(ComplexLockFastPath, ReadHoldAcrossOptionChangeReleasesCleanly) {
+  // A fast read hold released after kSlowReaders was set leaves through
+  // the interlock path, and vice versa; either way the count balances.
+  lock_data_t l;
+  lock_init(&l, true, "fast-toggle");
+  lock_read(&l);                        // fast
+  lock_set_writer_priority(&l, false);  // readers now go slow
+  lock_done(&l);                        // slow exit of a fast entry
+  lock_read(&l);                        // slow
+  lock_set_writer_priority(&l, true);
+  lock_done(&l);  // fast exit of a slow entry
+  EXPECT_TRUE(lock_try_write(&l));
+  lock_done(&l);
+  EXPECT_EQ(lock_stats(&l).read_acquisitions, 2u);
+}
+
+TEST(ComplexLockFastPath, PendingWriterRefusesFastPath) {
+  lock_data_t l;
+  lock_init(&l, true, "fast-writer");
+  lock_read(&l);
+  auto writer = kthread::spawn("writer", [&] {
+    lock_write(&l);
+    lock_done(&l);
+  });
+  ASSERT_TRUE(eventually([&] { return (l.state.load() & lock_data_t::kWantWrite) != 0; }));
+  const std::uint64_t before = interlock_acquisitions(l);
+  std::atomic<int> got{-1};
+  auto reader = kthread::spawn("reader", [&] { got.store(lock_try_read(&l) ? 1 : 0); });
+  reader->join();
+  EXPECT_EQ(got.load(), 0) << "reader admitted past a pending writer";
+  EXPECT_GT(interlock_acquisitions(l), before);  // decided under the interlock
+  lock_done(&l);
+  writer->join();
+}
+
+TEST(ComplexLockFastPath, PendingUpgradeRefusesFastPath) {
+  lock_data_t l;
+  lock_init(&l, true, "fast-upgrade");
+  lock_read(&l);
+  auto upgrader = kthread::spawn("upgrader", [&] {
+    lock_read(&l);
+    EXPECT_FALSE(lock_read_to_write(&l));
+    lock_done(&l);
+  });
+  ASSERT_TRUE(eventually([&] { return (l.state.load() & lock_data_t::kWantUpgrade) != 0; }));
+  const std::uint64_t before = interlock_acquisitions(l);
+  std::atomic<int> got{-1};
+  auto reader = kthread::spawn("reader", [&] { got.store(lock_try_read(&l) ? 1 : 0); });
+  reader->join();
+  EXPECT_EQ(got.load(), 0) << "reader admitted past a pending upgrade";
+  EXPECT_GT(interlock_acquisitions(l), before);
+  lock_done(&l);
+  upgrader->join();
+}
+
+TEST(ComplexLockFastPath, ReadAcquisitionsCountFastAndSlowExactly) {
+  lock_data_t l;
+  lock_init(&l, true, "fast-count");
+  constexpr int threads = 4;
+  constexpr int iters = 20000;
+  std::vector<std::unique_ptr<kthread>> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.push_back(kthread::spawn("r" + std::to_string(t), [&] {
+      for (int i = 0; i < iters; ++i) {
+        lock_read(&l);
+        lock_done(&l);
+      }
+    }));
+  }
+  for (auto& w : workers) w->join();
+  // Slow reads: writers' priority off, and a recursive read.
+  lock_set_writer_priority(&l, false);
+  lock_read(&l);
+  lock_done(&l);
+  lock_set_writer_priority(&l, true);
+  lock_write(&l);
+  lock_set_recursive(&l);
+  lock_read(&l);
+  lock_done(&l);
+  lock_clear_recursive(&l);
+  lock_done(&l);
+  const std::uint64_t reads = static_cast<std::uint64_t>(threads) * iters + 2;
+  const complex_lock_stats s = lock_stats(&l);
+  EXPECT_EQ(s.read_acquisitions, reads);
+  EXPECT_EQ(s.write_acquisitions, 1u);
+  bool found = false;
+  for (const lock_stat_entry& e : lock_registry::instance().snapshot()) {
+    if (e.address == &l && e.is_complex) {
+      found = true;
+      EXPECT_EQ(e.acquisitions, reads + 1);
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
+// The last fast-path reader out must wake a drainer that went to sleep
+// (or is spinning) on the lock. Every wait is bounded: on a lost wakeup
+// the test fails, then kicks the sleeper with a spurious wakeup so that
+// it re-checks its predicate and the test can finish.
+class ComplexLockLastReaderTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void run(bool upgrade) {
+    constexpr int rounds = 150;
+    constexpr int readers = 3;
+    for (int round = 0; round < rounds; ++round) {
+      lock_data_t l;
+      lock_init(&l, /*can_sleep=*/GetParam(), "last-reader");
+      std::atomic<int> held{0};
+      std::atomic<bool> release{false};
+      std::vector<std::unique_ptr<kthread>> rs;
+      for (int r = 0; r < readers; ++r) {
+        rs.push_back(kthread::spawn("reader", [&] {
+          lock_read(&l);
+          held.fetch_add(1);
+          while (!release.load()) std::this_thread::yield();
+          lock_done(&l);
+        }));
+      }
+      ASSERT_TRUE(eventually([&] { return held.load() == readers; }));
+      std::atomic<bool> done{false};
+      auto drainer = kthread::spawn("drainer", [&] {
+        if (upgrade) {
+          lock_read(&l);
+          EXPECT_FALSE(lock_read_to_write(&l));
+        } else {
+          lock_write(&l);
+        }
+        done.store(true);
+        lock_done(&l);
+      });
+      // Wait until the drainer has gone to wait at least once.
+      ASSERT_TRUE(eventually([&] {
+        const complex_lock_stats s = lock_stats(&l);
+        return s.sleeps + s.spins > 0;
+      }));
+      release.store(true);
+      for (auto& r : rs) r->join();
+      if (!eventually([&] { return done.load(); })) {
+        ADD_FAILURE() << "lost wakeup: drainer still waiting after the last reader left"
+                      << " (round " << round << ")";
+        while (!done.load()) {
+          thread_wakeup(&l);
+          std::this_thread::sleep_for(1ms);
+        }
+      }
+      drainer->join();
+      EXPECT_EQ(l.state.load(), 0u);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+};
+
+TEST_P(ComplexLockLastReaderTest, WakesSleepingWriter) { run(/*upgrade=*/false); }
+TEST_P(ComplexLockLastReaderTest, WakesSleepingUpgrader) { run(/*upgrade=*/true); }
+
+INSTANTIATE_TEST_SUITE_P(SleepAndSpin, ComplexLockLastReaderTest, ::testing::Values(true, false),
+                         [](const auto& info) { return info.param ? "sleep" : "spin"; });
 
 TEST(ComplexLockGuards, ReadAndWriteGuardsRelease) {
   lock_data_t l;

@@ -45,6 +45,25 @@ TEST(McCache, SetGetDelRoundTrip) {
   EXPECT_EQ(s.delete_misses, 1u);
 }
 
+TEST(McCache, GetsAreHitsPlusMisses) {
+  mc_cache cache(small_cache(2));
+  const std::uint64_t v[1] = {5};
+  for (std::uint64_t k = 0; k < 8; ++k) ASSERT_EQ(cache.set(k, v, 1), KERN_SUCCESS);
+  constexpr int threads = 4;
+  constexpr int iters = 2000;  // keys 0..15: half hit, half miss
+  std::vector<std::unique_ptr<kthread>> ts;
+  for (int t = 0; t < threads; ++t) {
+    ts.push_back(kthread::spawn("getter", [&cache] {
+      for (int i = 0; i < iters; ++i) (void)cache.get(static_cast<std::uint64_t>(i % 16));
+    }));
+  }
+  for (auto& t : ts) t->join();
+  const mc_cache_stats s = cache.stats();
+  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(threads) * iters / 2);
+  EXPECT_EQ(s.misses, static_cast<std::uint64_t>(threads) * iters / 2);
+  EXPECT_EQ(s.gets, s.hits + s.misses);
+}
+
 TEST(McCache, OverwriteReplacesItemAndReturnsOldBlock) {
   mc_cache cache(small_cache());
   const std::uint64_t v1[1] = {111};

@@ -198,9 +198,13 @@ TEST_F(shootdown_fixture, Section7ThreeProcessorDeadlockDetected) {
   ASSERT_TRUE(cycle.has_value()) << "expected the section 7 deadlock";
   EXPECT_GE(cycle->threads.size(), 3u) << cycle->description;
 
-  // Unwind: abort the barrier round (the watchdog's remedy). P1 leaves the
-  // ISR, releases the lock; P2 acquires and releases; P3 reports aborted.
+  // Unwind: abort the barrier round (the watchdog's remedy) and let P3
+  // report it before P1 releases the lock. Otherwise P2 could acquire,
+  // lower its spl, and take the IPI before P3 sees the abort, completing
+  // the round. Then P1 leaves the ISR and releases the lock; P2 acquires
+  // and releases.
   engine->barrier().abort_current();
+  while (round_status.load() == -1) std::this_thread::yield();
   unwound.store(true);
   p1->join();
   p2->join();

@@ -286,6 +286,14 @@ TEST_F(pageable_deadlock_fixture, LegacyRecursivePathDeadlocks) {
     EXPECT_EQ(vm_map_pageable_legacy(*map, hot_addr, 4 * vm_page_size, true), KERN_SUCCESS);
     wire_done.store(true);
   });
+  // Start the reclaimer only once the wirer sleeps on the exhausted zone
+  // holding its recursive read hold. A reclaimer that ran first would take
+  // the write lock, evict the cold pages and avert the deadlock.
+  const auto sleep_deadline = std::chrono::steady_clock::now() + 5s;
+  while (pages.raw().alloc_sleeps() == 0 && std::chrono::steady_clock::now() < sleep_deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_GT(pages.raw().alloc_sleeps(), 0u) << "the wirer never slept on the zone";
   // The reclaimer needs the map write lock to evict cold pages — and
   // cannot get it: the deadlock of section 7.1.
   std::atomic<bool> reclaim_done{false};
