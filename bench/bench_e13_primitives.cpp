@@ -2,9 +2,10 @@
 //
 // google-benchmark microbenchmarks of every locking primitive the paper's
 // appendices document, uncontended (plus one shared-lock read row at 1, 2
-// and 4 threads): the baseline costs every design discussion in the paper
-// builds on (e.g. why the simple lock is "a C integer", and what a complex
-// lock's read side costs with and without the interlock).
+// and 4 threads, and a two-thread wakeup/park round trip): the baseline
+// costs every design discussion in the paper builds on (e.g. why the
+// simple lock is "a C integer", and what a complex lock's read side costs
+// with and without the interlock).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -130,6 +131,43 @@ void BM_EventShortCircuit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventShortCircuit);
+
+// The wakeup/park hop: the benchmark thread and a kthread pass a turn back
+// and forth with thread_sleep / thread_wakeup_one; one iteration is a
+// round trip (two wakeups). With spare CPUs thread_block catches each
+// wakeup in its spin phase; on one CPU every wait parks on the condvar.
+void BM_WakeupHandoff(benchmark::State& state) {
+  simple_lock_data_t l;
+  simple_lock_init(&l, "bm-handoff");
+  int turn = 0;  // under l: whose move it is; -1 stops the partner
+  int ev[2];
+  auto wait_turn = [&](int me) {
+    simple_lock(&l);
+    while (turn != me && turn != -1) {
+      thread_sleep(&ev[me], &l);
+      simple_lock(&l);
+    }
+    const bool go = turn == me;
+    simple_unlock(&l);
+    return go;
+  };
+  auto pass = [&](int to) {
+    simple_lock(&l);
+    turn = to;
+    simple_unlock(&l);
+    thread_wakeup_one(&ev[to == -1 ? 1 : to]);
+  };
+  auto partner = kthread::spawn("bm-handoff", [&] {
+    while (wait_turn(1)) pass(0);
+  });
+  for (auto _ : state) {
+    pass(1);
+    wait_turn(0);
+  }
+  pass(-1);
+  partner->join();
+}
+BENCHMARK(BM_WakeupHandoff)->UseRealTime();
 
 void BM_PortSendReceive(benchmark::State& state) {
   auto p = make_object<port>("bm-port");

@@ -19,6 +19,7 @@
 #include "harness/table.h"
 #include "sched/event.h"
 #include "harness/workload.h"
+#include "metrics/kmetrics.h"
 #include "sync/complex_lock.h"
 
 namespace {
@@ -34,7 +35,7 @@ struct e16_result {
 e16_result run_config(int threads, int duration_ms) {
   lock_data_t lock;
   lock_init(&lock, /*can_sleep=*/true, "e16");
-  reset_event_counters();
+  const std::uint64_t wakeups0 = kmet().sched_wakeups.value();
 
   workload_spec spec;
   spec.threads = threads;
@@ -49,7 +50,7 @@ e16_result run_config(int threads, int duration_ms) {
   complex_lock_stats s = lock_stats(&lock);
   double acq = s.write_acquisitions != 0 ? static_cast<double>(s.write_acquisitions) : 1.0;
   return {r.ops_per_second(), static_cast<double>(s.sleeps) / acq,
-          static_cast<double>(event_counters().wakeups_delivered) / acq};
+          static_cast<double>(kmet().sched_wakeups.value() - wakeups0) / acq};
 }
 
 }  // namespace
@@ -57,6 +58,7 @@ e16_result run_config(int threads, int duration_ms) {
 int main() {
   using dir = mach::metric_dir;
   mach::trace_session trace;  // MACHLOCK_TRACE / MACHLOCK_LOCKSTAT exports on exit
+  mach::kmon::enable();       // the wakeups column reads kmet().sched_wakeups
   const int duration = mach::bench_duration_ms(250);
   mach::table t("E16 (ablation): wake-all release policy — the thundering-herd price");
   t.columns({"threads", "acq/s", "sleeps/acq", "wakeups delivered/acq"});

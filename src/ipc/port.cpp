@@ -101,10 +101,11 @@ kern_return_t port::send(message m) {
   }
   if (kspan::enabled()) [[unlikely]] span_stamp_send(m, *this);
   queue_.push_back(std::move(m));
+  const bool wake = receivers_waiting_ != 0;
   unlock();
   sends_ok_.fetch_add(1, std::memory_order_relaxed);
   kmet().ipc_messages.inc();
-  thread_wakeup_one(&queue_);
+  if (wake) thread_wakeup_one(&queue_);
   return KERN_SUCCESS;
 }
 
@@ -125,23 +126,25 @@ std::optional<message> port::receive(std::chrono::milliseconds timeout) {
     }
     // assert_wait-then-unlock: atomic with respect to send()'s wakeup.
     assert_wait(&queue_);
+    ++receivers_waiting_;
     unlock();
     wait_result r = bounded ? thread_block_timeout(timeout) : thread_block();
+    lock();
+    --receivers_waiting_;
     if (r == wait_result::timed_out) {
       // A send can land between the timeout firing and this return: the
       // sender's thread_wakeup_one finds no waiter (we already left the
       // wait queue), so nothing re-delivers the message until the next
       // receive — for a single-receiver pattern (an RPC reply port) that
       // message would be silently delayed and mis-delivered to the NEXT
-      // call. Re-take the lock and drain once before giving up.
-      lock();
+      // call. Drain once under the lock before giving up.
       if (!queue_.empty()) {
         message m = std::move(queue_.front());
         queue_.pop_front();
         // If more messages slipped in, their wakeups may also have been
         // consumed against no waiter; re-signal so a blocked receiver
-        // (if any) picks them up instead of stranding them.
-        bool more = !queue_.empty();
+        // picks them up instead of stranding them.
+        bool more = !queue_.empty() && receivers_waiting_ != 0;
         unlock();
         if (more) thread_wakeup_one(&queue_);
         span_note_recv(m, *this);
@@ -150,7 +153,6 @@ std::optional<message> port::receive(std::chrono::milliseconds timeout) {
       unlock();
       return std::nullopt;
     }
-    lock();
   }
 }
 

@@ -61,6 +61,10 @@ class port final : public kobject {
  private:
   std::deque<message> queue_;
   std::size_t queue_limit_ = 1024;
+  // Receivers between assert_wait and re-locking after their block (under
+  // the port lock). send() wakes one only when this is non-zero: any other
+  // receiver checks the queue under the lock before it waits.
+  std::size_t receivers_waiting_ = 0;
   ref_ptr<kobject> translation_;
   std::atomic<std::uint64_t> sends_ok_{0};
   std::atomic<std::uint64_t> sends_failed_{0};

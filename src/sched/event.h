@@ -18,6 +18,15 @@
 //
 // Extension over the paper: thread_block_timeout() bounds the block so
 // watchdogs and tests never hang; it reports wait_result::timed_out.
+//
+// Departure from the paper: Mach's thread_block always switches, and an
+// idle processor picks up the woken thread at once. A host thread parked
+// on a condvar instead pays a futex round trip before it runs again. So
+// thread_block first polls its wakeup flag, for at most its adaptive
+// budget (next_spin_budget) and only while the runnable kthreads leave a
+// usable CPU idle; then it parks. A wakeup caught in the spin counts as a
+// short-circuited block, and the waker skips the condvar notify for a
+// thread that has not parked.
 #pragma once
 
 #include <chrono>
@@ -59,15 +68,13 @@ void clear_wait(kthread& t, wait_result result = wait_result::cleared);
 // thread_wakeup: assert_wait, simple_unlock, thread_block.
 wait_result thread_sleep(event_t event, simple_lock_data_t* lock);
 
-// Instrumentation for experiments: global counts of blocks that actually
-// suspended vs. blocks short-circuited by an early wakeup.
-struct event_system_counters {
-  std::uint64_t blocks_suspended;
-  std::uint64_t blocks_short_circuited;
-  std::uint64_t wakeups_delivered;
-  std::uint64_t wakeups_no_waiter;
-};
-event_system_counters event_counters() noexcept;
-void reset_event_counters() noexcept;
+// thread_block's spin budget after a wait that parked and lasted `waited`,
+// in the manner of KVM halt polling: a wait that ended within the cap
+// doubles the budget (from 0, back to the start value), up to the cap; a
+// longer one halves it, and a budget below the start value becomes 0. A
+// thread whose wakeups come late or never (an idle worker on a receive
+// timeout) thus stops spinning.
+std::chrono::nanoseconds next_spin_budget(std::chrono::nanoseconds cur,
+                                          std::chrono::nanoseconds waited) noexcept;
 
 }  // namespace mach

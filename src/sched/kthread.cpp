@@ -19,6 +19,10 @@ kthread::kthread(std::string name) : name_(std::move(name)) {}
 
 kthread::~kthread() {
   MACH_ASSERT(!host_.joinable(), "kthread '" + name_ + "' destroyed without join");
+  // A waker may still be inside wait_cv_.notify_all() (sched/event.cpp).
+  while (notifiers_.load(std::memory_order_acquire) != 0) std::this_thread::yield();
+  // An adopted wrapper dies with its host thread.
+  if (adopted_) runnable_.fetch_sub(1, std::memory_order_relaxed);
   if (tl_current == this) tl_current = nullptr;
 }
 
@@ -29,6 +33,8 @@ kthread& kthread::current() {
   thread_local std::unique_ptr<kthread> adopted;
   adopted.reset(new kthread("adopted"));
   adopted->token_ = current_thread_token();
+  adopted->adopted_ = true;
+  runnable_.fetch_add(1, std::memory_order_relaxed);
   tl_current = adopted.get();
   kprof::publish(kprof::activity::running, nullptr);  // claim a sampler slot
   return *tl_current;
@@ -46,8 +52,10 @@ std::unique_ptr<kthread> kthread::spawn(std::string name, std::function<void()> 
     ktrace::set_thread_name(raw->name_);  // label this thread's trace ring
     kprof::publish(kprof::activity::running, nullptr);  // claim a sampler slot
     kmet().sched_threads_live.add(1);
+    runnable_.fetch_add(1, std::memory_order_relaxed);
     started.set_value();
     fn();
+    runnable_.fetch_sub(1, std::memory_order_relaxed);
     kmet().sched_threads_live.sub(1);
     tl_current = nullptr;
   });

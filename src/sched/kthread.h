@@ -12,6 +12,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -23,6 +24,12 @@ namespace mach {
 
 // An event is identified by an address, as in Mach (vm_offset_t event).
 using event_t = const void*;
+
+// thread_block's adaptive spin budget (sched/event.h, next_spin_budget):
+// a thread starts at about the cost of a park plus wake, and never spins
+// longer than the cap.
+inline constexpr std::chrono::nanoseconds spin_budget_start{10'000};
+inline constexpr std::chrono::nanoseconds spin_budget_cap{200'000};
 
 enum class wait_result {
   awakened,   // thread_wakeup on the event
@@ -56,6 +63,13 @@ class kthread {
   std::string name_;
   const void* token_ = nullptr;
   std::thread host_;  // empty for adopted threads
+  bool adopted_ = false;
+
+  // Kthreads that are running, spinning or woken: +1 when one starts or a
+  // host thread is adopted, -1 when it exits, -1 when it parks on its
+  // condvar and +1 when a waker or its timeout unparks it. Relaxed; it
+  // only gates thread_block's spin phase (sched/event.cpp).
+  static inline std::atomic<int> runnable_{0};
 
   // --- Wait state, owned by the event system ---
   std::mutex wait_mutex_;
@@ -65,8 +79,18 @@ class kthread {
   // stable while the thread is queued.
   std::atomic<event_t> wait_event_{nullptr};
   bool wait_asserted_ = false;     // between assert_wait and thread_block completion
-  bool wakeup_pending_ = false;    // event occurred since assert_wait
+  // Event occurred since assert_wait. Written under wait_mutex_; atomic
+  // because thread_block's spin phase polls it without the mutex.
+  std::atomic<bool> wakeup_pending_{false};
   wait_result wakeup_result_ = wait_result::awakened;
+  // In the condvar wait: a waker notifies only then (under wait_mutex_).
+  bool parked_ = false;
+  // Wakers that unparked this thread and have not yet returned from
+  // notify_all. They notify after releasing wait_mutex_, when the thread
+  // may already have run on and exited, so ~kthread waits for zero.
+  std::atomic<int> notifiers_{0};
+  // Spin budget of thread_block; read and written only by this thread.
+  std::chrono::nanoseconds spin_budget_{spin_budget_start};
   // On an event bucket queue. Written under the owning bucket's lock;
   // atomic because clear_wait probes it cross-bucket.
   std::atomic<bool> queued_{false};

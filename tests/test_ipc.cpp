@@ -7,6 +7,7 @@
 #include "ipc/port.h"
 #include "ipc/space.h"
 #include "ipc/stubs.h"
+#include "metrics/kmetrics.h"
 #include "sched/event.h"
 #include "sched/kthread.h"
 #include "tests/test_util.h"
@@ -180,6 +181,53 @@ TEST(Port, ObjectSurvivesPortDeath) {
   EXPECT_EQ(obj->read(v), KERN_SUCCESS);  // object untouched
 }
 
+// --- send wakes a receiver only when one is blocked ---
+
+std::uint64_t wakeup_calls() {
+  return kmet().sched_wakeups.value() + kmet().sched_wakeups_no_waiter.value();
+}
+
+TEST(PortWakeup, SendWithNoReceiverMakesNoWakeupCall) {
+  testing::kmon_scope metrics;
+  auto p = make_object<port>();
+  const std::uint64_t before = wakeup_calls();
+  for (std::uint32_t i = 0; i < 10; ++i) EXPECT_EQ(p->send(message(i)), KERN_SUCCESS);
+  EXPECT_EQ(wakeup_calls(), before);
+  EXPECT_EQ(p->queued(), 10u);
+}
+
+// Block a receiver on `p`, send once it is inside thread_block, and check
+// it gets the message.
+void expect_blocked_receiver_woken(port& p) {
+  std::atomic<bool> got{false};
+  auto rx = kthread::spawn("rx", [&] { got.store(p.receive(10s).has_value()); });
+  EXPECT_TRUE(testing::wait_until_blocked(*rx));
+  const std::uint64_t woken = kmet().sched_wakeups.value();
+  EXPECT_EQ(p.send(message(1)), KERN_SUCCESS);
+  rx->join();
+  EXPECT_TRUE(got.load());
+  EXPECT_EQ(kmet().sched_wakeups.value() - woken, 1u);
+}
+
+TEST(PortWakeup, BlockedReceiverIsWoken) {
+  testing::kmon_scope metrics;
+  auto p = make_object<port>();
+  expect_blocked_receiver_woken(*p);
+}
+
+TEST(PortWakeup, ReceiverAfterATimedOutReceiveIsWoken) {
+  testing::kmon_scope metrics;
+  auto p = make_object<port>();
+  EXPECT_FALSE(p->receive(1ms).has_value());
+  // The timed-out receiver no longer counts: a send makes no wakeup call...
+  const std::uint64_t before = wakeup_calls();
+  EXPECT_EQ(p->send(message(0)), KERN_SUCCESS);
+  EXPECT_EQ(wakeup_calls(), before);
+  ASSERT_TRUE(p->try_receive().has_value());
+  // ...and the next blocked receiver still counts.
+  expect_blocked_receiver_woken(*p);
+}
+
 // --- the port-receive / teardown races fixed in this PR ---
 
 TEST(PortRace, TimedOutReceiverRechecksQueueUnderPortLock) {
@@ -198,13 +246,14 @@ TEST(PortRace, TimedOutReceiverRechecksQueueUnderPortLock) {
   auto p = make_object<port>();
   std::atomic<bool> returned{false};
   std::atomic<bool> got{false};
-  const std::uint64_t blocked_before = event_counters().blocks_suspended;
+  testing::kmon_scope metrics;
+  const std::uint64_t blocked_before = kmet().sched_blocks.value();
   auto rx = kthread::spawn("rx", [&] {
     auto r = p->receive(10s);  // long bound: only clear_wait can "time it out"
     got.store(r.has_value());
     returned.store(true);
   });
-  while (event_counters().blocks_suspended == blocked_before) std::this_thread::yield();
+  while (kmet().sched_blocks.value() == blocked_before) std::this_thread::yield();
   std::this_thread::sleep_for(20ms);  // let the receiver reach its cv wait
   p->lock();
   clear_wait(*rx, wait_result::timed_out);  // fire the timeout by hand

@@ -23,6 +23,7 @@
 #include "metrics/kmon.h"
 #include "sched/event.h"
 #include "sched/kthread.h"
+#include "tests/test_util.h"
 
 namespace mach {
 namespace {
@@ -31,13 +32,7 @@ using namespace std::chrono_literals;
 
 // Every test restores the global switch to disabled (the process default)
 // so tests stay order-independent.
-class kmon_scope {
- public:
-  explicit kmon_scope(bool on = true) {
-    if (on) kmon::enable();
-  }
-  ~kmon_scope() { kmon::disable(); }
-};
+using testing::kmon_scope;
 
 // ---------------------------------------------------------------------------
 // Metric types.

@@ -1,7 +1,13 @@
 // Shared test helpers.
 #pragma once
 
+#include <chrono>
+
+#include "base/compiler.h"
 #include "base/panic.h"
+#include "metrics/kmon.h"
+#include "prof/kprof.h"
+#include "sched/kthread.h"
 
 namespace mach::testing {
 
@@ -19,5 +25,34 @@ class panic_hook_scope {
  private:
   panic_hook_t previous_;
 };
+
+// Enable kmon for the scope's lifetime, then restore the process default
+// (disabled), so a test can read kmet() counter deltas.
+class kmon_scope {
+ public:
+  kmon_scope() { kmon::enable(); }
+  ~kmon_scope() { kmon::disable(); }
+  kmon_scope(const kmon_scope&) = delete;
+  kmon_scope& operator=(const kmon_scope&) = delete;
+};
+
+// Bounded wait until `t` is inside thread_block past its early-wakeup
+// check: its kprof activity word then reads blocked (spinning or parked).
+// Reads the slot table directly: kprof::activity_for also resolves the
+// site through a lock-registry snapshot, far slower than a spin budget.
+inline bool wait_until_blocked(const kthread& t) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
+    for (const kprof::detail::activity_slot& s : kprof::detail::g_slots) {
+      if (s.token.load(std::memory_order_acquire) == t.token() &&
+          kprof::unpack_state(s.word.load(std::memory_order_relaxed)) ==
+              kprof::activity::blocked) {
+        return true;
+      }
+    }
+    cpu_relax();
+  }
+  return false;
+}
 
 }  // namespace mach::testing
