@@ -2,12 +2,13 @@
 //
 // google-benchmark microbenchmarks of every locking primitive the paper's
 // appendices document, uncontended (plus one shared-lock read row at 1, 2
-// and 4 threads, and a two-thread wakeup/park round trip): the baseline
-// costs every design discussion in the paper builds on (e.g. why the
-// simple lock is "a C integer", and what a complex lock's read side costs
-// with and without the interlock).
+// and 4 threads, a two-thread wakeup/park round trip, and two bare-atomic
+// floor rows): the baseline costs every design discussion in the paper
+// builds on (e.g. why the simple lock is "a C integer", and what a complex
+// lock's read side costs with and without the interlock).
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -39,6 +40,28 @@ BENCHMARK(BM_SimpleLockUnlock)
     ->Arg(static_cast<int>(spin_policy::ttas))
     ->Arg(static_cast<int>(spin_policy::tas_then_ttas))
     ->Arg(static_cast<int>(spin_policy::ttas_backoff));
+
+// Hardware floors: the bare atomics each primitive is built on, so its
+// row reads as a multiple of the floor. A simple lock/unlock is an
+// exchange plus a release store; a reference clone/release is a fetch_add
+// pair on the count.
+void BM_BareXchgStore(benchmark::State& state) {
+  std::atomic<int> word{0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(word.exchange(1, std::memory_order_acquire));
+    word.store(0, std::memory_order_release);
+  }
+}
+BENCHMARK(BM_BareXchgStore);
+
+void BM_BareFetchAddPair(benchmark::State& state) {
+  std::atomic<int> count{1};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(count.fetch_add(1, std::memory_order_relaxed));
+    benchmark::DoNotOptimize(count.fetch_sub(1, std::memory_order_acq_rel));
+  }
+}
+BENCHMARK(BM_BareFetchAddPair);
 
 void BM_SimpleLockTry(benchmark::State& state) {
   simple_lock_data_t l;

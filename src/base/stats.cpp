@@ -20,10 +20,13 @@ unsigned claim_way() noexcept {
 
 }  // namespace detail
 
+int latency_histogram::bucket_of(std::uint64_t nanos) noexcept {
+  const int bucket = nanos == 0 ? 0 : std::bit_width(nanos);
+  return bucket >= num_buckets ? num_buckets - 1 : bucket;
+}
+
 void latency_histogram::record(std::uint64_t nanos) noexcept {
-  int bucket = nanos == 0 ? 0 : std::bit_width(nanos);
-  if (bucket >= num_buckets) bucket = num_buckets - 1;
-  ++buckets_[bucket];
+  ++buckets_[bucket_of(nanos)];
   ++count_;
   total_ += nanos;
   max_ = std::max(max_, nanos);
@@ -42,19 +45,24 @@ double latency_histogram::mean_nanos() const noexcept {
   return count_ == 0 ? 0.0 : static_cast<double>(total_) / static_cast<double>(count_);
 }
 
-std::uint64_t latency_histogram::quantile_nanos(double q) const noexcept {
-  if (count_ == 0) return 0;
+std::uint64_t latency_histogram::quantile_of(const std::uint64_t* buckets, std::uint64_t count,
+                                             double q) noexcept {
+  if (count == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(count_ - 1));
+  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(count - 1));
   std::uint64_t seen = 0;
   for (int i = 0; i < num_buckets; ++i) {
-    seen += buckets_[i];
+    seen += buckets[i];
     if (seen > target) {
       // Upper bound of bucket i: values v with bit_width(v) == i.
       return i == 0 ? 0 : (std::uint64_t{1} << i) - 1;
     }
   }
-  return max_;
+  return (std::uint64_t{1} << (num_buckets - 1)) - 1;
+}
+
+std::uint64_t latency_histogram::quantile_nanos(double q) const noexcept {
+  return quantile_of(buckets_, count_, q);
 }
 
 summary summarize(const std::vector<double>& samples) {

@@ -60,6 +60,14 @@ class latency_histogram {
  public:
   static constexpr int num_buckets = 48;
 
+  // The bucket `nanos` falls in: its bit_width, clamped to the last bucket.
+  static int bucket_of(std::uint64_t nanos) noexcept;
+  // Approximate quantile (bucket upper bound), q in [0,1], of raw bucket
+  // counts whose sum is `count` (lock profiles keep theirs as atomics;
+  // see sync/lockstat.h).
+  static std::uint64_t quantile_of(const std::uint64_t* buckets, std::uint64_t count,
+                                   double q) noexcept;
+
   void record(std::uint64_t nanos) noexcept;
   void merge(const latency_histogram& other) noexcept;
   // Drop all samples (between bench rounds / sampler windows).

@@ -2,11 +2,10 @@
 
 namespace mach {
 
-ipc_space::ipc_space(const char* name) { simple_lock_init(&own_lock_, name); }
+ipc_space::ipc_space(const char* name) : own_lock_(name) {}
 
-ipc_space::ipc_space(simple_lock_data_t* external) : external_lock_(external) {
-  simple_lock_init(&own_lock_, "ipc-space-unused");
-}
+ipc_space::ipc_space(simple_lock_data_t* external)
+    : own_lock_("ipc-space-unused"), external_lock_(external) {}
 
 ipc_space::~ipc_space() {
   // The table's references die with the map; nothing holds our lock now.

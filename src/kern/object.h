@@ -21,13 +21,16 @@
 #include <type_traits>
 #include <utility>
 
+#include "base/compiler.h"
 #include "base/panic.h"
 #include "kern/refcount.h"
 #include "sync/simple_lock.h"
 
 namespace mach {
 
-class kobject {
+// Cache-line aligned, so an object's lock word and count never share a
+// line with a neighbour's.
+class alignas(cacheline_size) kobject {
  public:
   // `ref_policy` selects the reference-count implementation (kern/
   // refcount.h): the atomic portion by default; long-lived hot objects

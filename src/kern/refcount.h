@@ -17,7 +17,8 @@
 //   * striped_refcount — per-slot counters for long-lived hot objects
 //     (pset, the pager-backed memory object) whose single count line
 //     would ping-pong. Threads get/put against a thread-affine slot (its
-//     own cache line, each a lockref64 word); release-to-zero detection
+//     own cache line, each a lockref64 word, in an array the count
+//     allocates at construction); release-to-zero detection
 //     happens in a locked reconcile that folds every slot into a base
 //     count. Invariant making fast-path puts provably non-final: slots
 //     never go negative and base stays >= 1 while the object is alive, so
@@ -50,7 +51,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <new>
+#include <span>
 #include <string>
 
 #include "base/panic.h"
@@ -64,9 +67,7 @@ namespace mach {
 // The paper's design: count guarded by a simple lock.
 class locked_refcount {
  public:
-  explicit locked_refcount(int initial = 1) : count_(initial) {
-    simple_lock_init(&lock_, "refcount", /*tracked=*/false);
-  }
+  explicit locked_refcount(int initial = 1) : lock_("refcount", /*track=*/false), count_(initial) {}
 
   void acquire(const char* who = nullptr) {
     const char* name = who != nullptr ? who : "locked_refcount";
@@ -152,7 +153,7 @@ class striped_refcount {
  public:
   static constexpr int kSlots = 8;
 
-  explicit striped_refcount(int initial = 1) : base_(initial) {
+  explicit striped_refcount(int initial = 1) : slots_(new slot_t[kSlots]), base_(initial) {
     if (initial <= 0) retire_slots_unlocked();
   }
 
@@ -212,14 +213,16 @@ class striped_refcount {
   // value(), it is a snapshot for tests and stats, not for decisions).
   int value() const {
     std::int64_t total = base_.load(std::memory_order_relaxed);
-    for (const auto& s : slots_) total += lockref64::count_of(s.word.load());
+    for (const slot_t& s : slots()) total += lockref64::count_of(s.word.load());
     return static_cast<int>(total);
   }
 
  private:
-  struct alignas(64) slot_t {
+  struct alignas(cacheline_size) slot_t {
     lockref64 word{0};
   };
+
+  std::span<slot_t> slots() const noexcept { return {slots_.get(), kSlots}; }
 
   // Thread-affine slot assignment: round-robin at first use, so up to
   // kSlots concurrent threads land on distinct cache lines.
@@ -231,7 +234,7 @@ class striped_refcount {
 
   // Only called from the constructor (initial <= 0): no concurrency yet.
   void retire_slots_unlocked() {
-    for (auto& s : slots_) s.word.unlock_to(0, lockref64::kDeadBit);
+    for (slot_t& s : slots()) s.word.unlock_to(0, lockref64::kDeadBit);
   }
 
   // The locked reconcile: take every slot lock (index order — the only
@@ -240,16 +243,16 @@ class striped_refcount {
   // locks are held every fast path fails its cmpxchg and waits, so the
   // fold is a true snapshot.
   bool reconcile_release(const char* name) {
-    for (auto& s : slots_) s.word.lock();
+    for (slot_t& s : slots()) s.word.lock();
     if (lockref64::is_dead(slots_[0].word.load())) {
-      for (auto& s : slots_) s.word.unlock();
+      for (slot_t& s : slots()) s.word.unlock();
       panic(std::string("reference over-release on ") + name);
     }
     std::int64_t total = base_.load(std::memory_order_relaxed);
-    for (auto& s : slots_) total += s.word.count_locked();
+    for (slot_t& s : slots()) total += s.word.count_locked();
     total -= 1;  // this release
     if (total < 0) {
-      for (auto& s : slots_) s.word.unlock();
+      for (slot_t& s : slots()) s.word.unlock();
       panic(std::string("reference over-release on ") + name);
     }
     const bool last = total == 0;
@@ -261,11 +264,13 @@ class striped_refcount {
                  last ? 0 : 1);
     // Fold: slots to zero; at zero total, retire them with the sticky
     // dead bit so every later op panics from a single word load.
-    for (auto& s : slots_) s.word.unlock_to(0, last ? lockref64::kDeadBit : 0);
+    for (slot_t& s : slots()) s.word.unlock_to(0, last ? lockref64::kDeadBit : 0);
     return last;
   }
 
-  slot_t slots_[kSlots];
+  // The slots, out of line: the object carries one pointer, not kSlots
+  // cache lines, and each slot still owns its line.
+  std::unique_ptr<slot_t[]> slots_;
   // Folded remainder. Mutated only while ALL slot locks are held; atomic
   // so value() can snapshot it without them. Invariant: >= 1 while the
   // object is alive (the fold publishes the whole positive total here).
@@ -292,8 +297,10 @@ constexpr refcount_policy default_refcount_policy() noexcept { return refcount_p
 // A reference count with the policy chosen at construction — the form
 // kobject embeds. Dispatch is one predictable switch; the storage is a
 // union so only the selected policy is ever constructed (constructing a
-// locked_refcount registers a lock; a striped_refcount is slot-array
-// sized — neither should be paid by objects using another policy).
+// locked_refcount registers a lock; a striped_refcount allocates its
+// slots). The union is sized by locked_refcount, a simple lock plus an
+// int (64 B): the striped slots live out of line, so the 4 B atomic
+// default does not pay kSlots cache lines inline.
 class krefcount {
  public:
   explicit krefcount(refcount_policy p, int initial = 1) : pol_(p) {

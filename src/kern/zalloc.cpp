@@ -10,13 +10,12 @@
 namespace mach {
 
 zone::zone(const char* name, std::size_t elem_size, std::size_t max_elems)
-    : name_(name),
+    : lock_(name),
+      name_(name),
       elem_size_(std::max(elem_size, sizeof(void*))),
       max_(max_elems),
       occupancy_("machlock_zone_in_use", "elements currently allocated from the zone",
-                 [this] { return static_cast<double>(in_use()); }, "zone", name) {
-  simple_lock_init(&lock_, name);
-}
+                 [this] { return static_cast<double>(in_use()); }, "zone", name) {}
 
 zone::~zone() {
   // Outstanding elements at teardown indicate a leak in the client; the

@@ -58,7 +58,7 @@ class usage_timer {
 // The locking baseline: identical semantics via a simple lock.
 class locked_usage_timer {
  public:
-  locked_usage_timer() { simple_lock_init(&lock_, "usage-timer", /*tracked=*/false); }
+  locked_usage_timer() : lock_("usage-timer", /*track=*/false) {}
 
   void tick(std::uint64_t delta_us) noexcept {
     simple_lock(&lock_);

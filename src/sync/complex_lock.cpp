@@ -63,7 +63,7 @@ inline void wait_finish(lock_t l, std::uint64_t start, trace_kind kind) {
   if (start == 0 || !ktrace::enabled()) return;
   const std::uint64_t end = now_nanos();
   const std::uint64_t wait = end - start;
-  l->wait_hist.record(wait);
+  lock_profile_of(l->profile).wait.record(wait);
   ktrace::emit_span(kind, l->name, reinterpret_cast<std::uint64_t>(l), wait, end);
 }
 
@@ -78,7 +78,7 @@ inline void hold_finish(lock_t l) {
   const std::uint64_t end = now_nanos();
   const std::uint64_t hold = end - l->write_acquire_nanos;
   l->write_acquire_nanos = 0;
-  l->hold_hist.record(hold);
+  lock_profile_of(l->profile).hold.record(hold);
   ktrace::emit_span(trace_kind::complex_write_held, l->name,
                     reinterpret_cast<std::uint64_t>(l), hold, end);
 }
@@ -96,13 +96,13 @@ void lock_wait(lock_t l, backoff& bo, bool force_sleep = false) {
   kprof::publish(kprof::activity::lock_waiting, l->name);
   if (l->can_sleep || force_sleep) {
     l->waiting = true;
-    ++l->stats.sleeps;
+    holder_increment(l->stats.sleeps);
     assert_wait(l);
     simple_unlock(&l->interlock);
     thread_block();
     simple_lock(&l->interlock);
   } else {
-    ++l->stats.spins;
+    holder_increment(l->stats.spins);
     simple_unlock(&l->interlock);
     bo.pause();
     simple_lock(&l->interlock);
@@ -215,10 +215,14 @@ void lock_init(lock_t l, bool can_sleep, const char* name) {
   l->recursion_depth = 0;
   l->write_holder = nullptr;
   l->name = name;
-  l->stats = complex_lock_stats{};
+  for (std::atomic<std::uint64_t>* c :
+       {&l->stats.read_acquisitions, &l->stats.write_acquisitions,
+        &l->stats.recursive_acquisitions, &l->stats.upgrades_succeeded,
+        &l->stats.upgrades_failed, &l->stats.downgrades, &l->stats.sleeps, &l->stats.spins}) {
+    c->store(0, std::memory_order_relaxed);
+  }
   l->write_acquire_nanos = 0;
-  l->hold_hist = latency_histogram{};
-  l->wait_hist = latency_histogram{};
+  lock_profile_reset(l->profile);
 }
 
 void lock_read(lock_t l) {
@@ -233,8 +237,8 @@ void lock_read(lock_t l) {
     // requests (paper sec. 4) — that is what lets it finish the work those
     // requests are waiting on.
     l->state.fetch_add(1);
-    ++l->stats.recursive_acquisitions;
-    ++l->stats.read_acquisitions;
+    holder_increment(l->stats.recursive_acquisitions);
+    holder_increment(l->stats.read_acquisitions);
     simple_unlock(&l->interlock);
     return;
   }
@@ -255,7 +259,7 @@ void lock_read(lock_t l) {
     wait_finish(l, wait_start, trace_kind::complex_read_wait);
   }
   l->state.fetch_add(1);
-  ++l->stats.read_acquisitions;
+  holder_increment(l->stats.read_acquisitions);
   note_read_held(l, me);
   simple_unlock(&l->interlock);
 }
@@ -266,8 +270,8 @@ void lock_write(lock_t l) {
   if (l->recursion_thread == me) {
     if (any_set(l, kWantWrite) && l->write_holder == me) {
       ++l->recursion_depth;
-      ++l->stats.recursive_acquisitions;
-      ++l->stats.write_acquisitions;
+      holder_increment(l->stats.recursive_acquisitions);
+      holder_increment(l->stats.write_acquisitions);
       simple_unlock(&l->interlock);
       return;
     }
@@ -308,7 +312,7 @@ void lock_write(lock_t l) {
     wait_finish(l, wait_start, trace_kind::complex_write_wait);
   }
   l->write_holder = me;
-  ++l->stats.write_acquisitions;
+  holder_increment(l->stats.write_acquisitions);
   hold_begin(l);
   kprof::publish(kprof::activity::holding, l->name);
   wait_graph::instance().resource_held(l, me, l->name);
@@ -327,7 +331,7 @@ bool lock_read_to_write(lock_t l) {
     // (required to let the other upgrade drain; the caller needs recovery
     // logic — the cost sec. 7.1 complains about, measured in E4).
     l->state.fetch_sub(1);
-    ++l->stats.upgrades_failed;
+    holder_increment(l->stats.upgrades_failed);
     note_released(l, me);
     lock_wakeup(l);  // our released read hold may unblock the winner
     simple_unlock(&l->interlock);
@@ -352,7 +356,7 @@ bool lock_read_to_write(lock_t l) {
     wait_finish(l, wait_start, trace_kind::complex_upgrade_wait);
   }
   l->write_holder = me;
-  ++l->stats.upgrades_succeeded;
+  holder_increment(l->stats.upgrades_succeeded);
   hold_begin(l);
   kprof::publish(kprof::activity::holding, l->name);
   simple_unlock(&l->interlock);
@@ -369,7 +373,7 @@ void lock_write_to_read(lock_t l) {
   hold_finish(l);  // the write-side hold ends at the downgrade
   holder_release(l, any_set(l, kWantUpgrade) ? kWantUpgrade : kWantWrite, 1);
   l->write_holder = nullptr;
-  ++l->stats.downgrades;
+  holder_increment(l->stats.downgrades);
   lock_wakeup(l);  // other readers may now enter
   simple_unlock(&l->interlock);
 }
@@ -419,8 +423,8 @@ bool lock_try_read(lock_t l) {
   simple_lock(&l->interlock);
   if (l->recursion_thread == me) {
     l->state.fetch_add(1);
-    ++l->stats.recursive_acquisitions;
-    ++l->stats.read_acquisitions;
+    holder_increment(l->stats.recursive_acquisitions);
+    holder_increment(l->stats.read_acquisitions);
     simple_unlock(&l->interlock);
     return true;
   }
@@ -429,7 +433,7 @@ bool lock_try_read(lock_t l) {
     return false;
   }
   l->state.fetch_add(1);
-  ++l->stats.read_acquisitions;
+  holder_increment(l->stats.read_acquisitions);
   note_read_held(l, me);
   simple_unlock(&l->interlock);
   return true;
@@ -440,8 +444,8 @@ bool lock_try_write(lock_t l) {
   simple_lock(&l->interlock);
   if (l->recursion_thread == me && any_set(l, kWantWrite) && l->write_holder == me) {
     ++l->recursion_depth;
-    ++l->stats.recursive_acquisitions;
-    ++l->stats.write_acquisitions;
+    holder_increment(l->stats.recursive_acquisitions);
+    holder_increment(l->stats.write_acquisitions);
     simple_unlock(&l->interlock);
     return true;
   }
@@ -453,7 +457,7 @@ bool lock_try_write(lock_t l) {
     return false;
   }
   l->write_holder = me;
-  ++l->stats.write_acquisitions;
+  holder_increment(l->stats.write_acquisitions);
   hold_begin(l);
   kprof::publish(kprof::activity::holding, l->name);
   wait_graph::instance().resource_held(l, me, l->name);
@@ -493,7 +497,7 @@ bool lock_try_read_to_write(lock_t l) {
     wait_finish(l, wait_start, trace_kind::complex_upgrade_wait);
   }
   l->write_holder = me;
-  ++l->stats.upgrades_succeeded;
+  holder_increment(l->stats.upgrades_succeeded);
   hold_begin(l);
   kprof::publish(kprof::activity::holding, l->name);
   simple_unlock(&l->interlock);
@@ -545,10 +549,17 @@ void lock_set_mach25_try_upgrade_bug(lock_t l, bool on) {
 }
 
 complex_lock_stats lock_stats(lock_t l) {
+  const complex_lock_counters& c = l->stats;
   simple_lock(&l->interlock);
-  complex_lock_stats s = l->stats;
+  const complex_lock_stats s{counter_value(c.read_acquisitions) + counter_value(l->fast_reads),
+                             counter_value(c.write_acquisitions),
+                             counter_value(c.recursive_acquisitions),
+                             counter_value(c.upgrades_succeeded),
+                             counter_value(c.upgrades_failed),
+                             counter_value(c.downgrades),
+                             counter_value(c.sleeps),
+                             counter_value(c.spins)};
   simple_unlock(&l->interlock);
-  s.read_acquisitions += l->fast_reads.load(std::memory_order_relaxed);
   return s;
 }
 

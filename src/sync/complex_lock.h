@@ -45,10 +45,8 @@
 
 namespace mach {
 
-// Cumulative per-lock statistics, mutated under the interlock (so reading
-// them while the lock is in active use gives a consistent-enough snapshot
-// for reporting, and updating them costs no extra synchronization). Reads
-// that took the fast path are tallied in lock_data_t::fast_reads instead;
+// Cumulative per-lock statistics, as returned by lock_stats(). Reads that
+// took the fast path are tallied in lock_data_t::fast_reads instead;
 // lock_stats() folds them into read_acquisitions.
 struct complex_lock_stats {
   std::uint64_t read_acquisitions = 0;
@@ -59,6 +57,20 @@ struct complex_lock_stats {
   std::uint64_t downgrades = 0;
   std::uint64_t sleeps = 0;  // waits that went through the event system
   std::uint64_t spins = 0;   // interlock-release/reacquire spin iterations
+};
+
+// The live counters behind complex_lock_stats. They are written only under
+// the interlock, by a load and a store (holder_increment), and are relaxed
+// atomics because lockstat snapshots read them while holders write.
+struct complex_lock_counters {
+  std::atomic<std::uint64_t> read_acquisitions{0};
+  std::atomic<std::uint64_t> write_acquisitions{0};
+  std::atomic<std::uint64_t> recursive_acquisitions{0};
+  std::atomic<std::uint64_t> upgrades_succeeded{0};
+  std::atomic<std::uint64_t> upgrades_failed{0};
+  std::atomic<std::uint64_t> downgrades{0};
+  std::atomic<std::uint64_t> sleeps{0};
+  std::atomic<std::uint64_t> spins{0};
 };
 
 // Storage for a single complex lock (the paper's C type lock_data_t).
@@ -83,15 +95,15 @@ struct lock_data_t {
   // Debug/tracking:
   const void* write_holder = nullptr;  // thread holding for write/upgrade
   const char* name = "complex-lock";
-  complex_lock_stats stats;
+  complex_lock_counters stats;
   // Hold/wait-time profiling (ktrace-gated, like simple locks; see
-  // sync/simple_lock.h). wait_hist covers read, write, and upgrade waits;
-  // hold_hist covers write-side holds (a read hold is shared by many
-  // threads at once, so per-holder read spans are not tracked). All
-  // mutated under the interlock.
+  // sync/simple_lock.h). The profile's wait histogram covers read, write,
+  // and upgrade waits; its hold histogram covers write-side holds (a read
+  // hold is shared by many threads at once, so per-holder read spans are
+  // not tracked). Allocated on the first timed hold or wait and recorded
+  // under the interlock; freed with the lock.
   std::uint64_t write_acquire_nanos = 0;
-  latency_histogram hold_hist;
-  latency_histogram wait_hist;
+  std::atomic<lock_profile*> profile{nullptr};
 
   // The state word, on its own cache line: the reader count in the low
   // bits plus the flags below. The fast paths write only this line.
@@ -105,7 +117,10 @@ struct lock_data_t {
   std::atomic<std::uint64_t> fast_reads{0};  // read acquisitions that skipped the interlock
 
   lock_data_t() { lock_registry::instance().add(this); }
-  ~lock_data_t() { lock_registry::instance().remove(this); }
+  ~lock_data_t() {
+    lock_registry::instance().remove(this);  // no snapshot reads the profile after this
+    delete profile.load(std::memory_order_acquire);
+  }
   lock_data_t(const lock_data_t&) = delete;
   lock_data_t& operator=(const lock_data_t&) = delete;
 };

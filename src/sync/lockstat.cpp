@@ -62,16 +62,31 @@ std::size_t lock_registry::live_locks() const {
   return s.simple.size() + s.complex.size();
 }
 
+lock_profile& lock_profile_of(std::atomic<lock_profile*>& slot) {
+  lock_profile* p = slot.load(std::memory_order_relaxed);
+  if (p == nullptr) {
+    p = new lock_profile;
+    slot.store(p, std::memory_order_release);
+  }
+  return *p;
+}
+
 namespace {
 
-void fill_latency(lock_stat_entry& e, const latency_histogram& hold,
-                  const latency_histogram& wait) {
-  e.hold_samples = hold.count();
-  e.hold_p50_nanos = hold.quantile_nanos(0.5);
-  e.hold_p99_nanos = hold.quantile_nanos(0.99);
-  e.wait_samples = wait.count();
-  e.wait_p50_nanos = wait.quantile_nanos(0.5);
-  e.wait_p99_nanos = wait.quantile_nanos(0.99);
+void fill_quantiles(const lock_profile::histogram& h, std::uint64_t& samples,
+                    std::uint64_t& p50, std::uint64_t& p99) {
+  std::uint64_t buckets[latency_histogram::num_buckets];
+  samples = h.copy(buckets);
+  p50 = latency_histogram::quantile_of(buckets, samples, 0.5);
+  p99 = latency_histogram::quantile_of(buckets, samples, 0.99);
+}
+
+// A lock without a profile was never timed: its entry keeps 0 samples.
+void fill_latency(lock_stat_entry& e, const std::atomic<lock_profile*>& slot) {
+  const lock_profile* p = slot.load(std::memory_order_acquire);
+  if (p == nullptr) return;
+  fill_quantiles(p->hold, e.hold_samples, e.hold_p50_nanos, e.hold_p99_nanos);
+  fill_quantiles(p->wait, e.wait_samples, e.wait_p50_nanos, e.wait_p99_nanos);
 }
 
 }  // namespace
@@ -83,17 +98,20 @@ std::vector<lock_stat_entry> lock_registry::snapshot() const {
     std::lock_guard<std::mutex> g(s.m);
     out.reserve(s.simple.size() + s.complex.size());
     for (simple_lock_data_t* l : s.simple) {
-      lock_stat_entry e{l, l->name, false, l->stat_acquisitions, l->stat_contended};
-      fill_latency(e, l->hold_hist, l->wait_hist);
+      lock_stat_entry e{l, l->name, false, counter_value(l->stat_acquisitions),
+                        counter_value(l->stat_contended)};
+      fill_latency(e, l->profile);
       out.push_back(e);
     }
     for (lock_data_t* l : s.complex) {
-      // Racy reads of the interlock-protected stats: fine for diagnostics.
+      // Racy (possibly one op stale) reads of the interlock-protected
+      // counters: fine for diagnostics.
       lock_stat_entry e{l, l->name, true,
-                        l->stats.read_acquisitions + l->stats.write_acquisitions +
-                            l->fast_reads.load(std::memory_order_relaxed),
-                        l->stats.sleeps + l->stats.spins};
-      fill_latency(e, l->hold_hist, l->wait_hist);
+                        counter_value(l->stats.read_acquisitions) +
+                            counter_value(l->stats.write_acquisitions) +
+                            counter_value(l->fast_reads),
+                        counter_value(l->stats.sleeps) + counter_value(l->stats.spins)};
+      fill_latency(e, l->profile);
       out.push_back(e);
     }
   }

@@ -12,17 +12,76 @@
 // counters are mutated only while the lock itself is held; a complex
 // lock's counters live in its interlock-protected stats. Snapshots read
 // them racily (counts may be one op stale), which is the usual and
-// acceptable trade for diagnostics.
+// acceptable trade for diagnostics. The counters and the profiles below
+// are relaxed atomics, so those racy reads are defined: their one writer
+// at a time adds by a load and a store, never a locked RMW.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "base/stats.h"
 
 namespace mach {
 
 struct lock_data_t;
 struct simple_lock_data_t;
+
+// Add one to a counter that only a lock's holder writes, and read one: a
+// relaxed load and store, so a concurrent snapshot reads a whole (possibly
+// stale) value.
+inline void holder_increment(std::atomic<std::uint64_t>& c) noexcept {
+  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+inline std::uint64_t counter_value(const std::atomic<std::uint64_t>& c) noexcept {
+  return c.load(std::memory_order_relaxed);
+}
+
+// A lock's hold and wait latencies, in latency_histogram's log2 buckets.
+// Timing runs only while ktrace is on, so a lock allocates its profile on
+// its first timed hold or wait (lock_profile_of) and frees it in its
+// destructor; an untraced lock pays one null pointer. Only the holder of
+// the lock (or of a complex lock's interlock) records.
+struct lock_profile {
+  class histogram {
+   public:
+    void record(std::uint64_t nanos) noexcept {
+      holder_increment(buckets_[latency_histogram::bucket_of(nanos)]);
+    }
+    void reset() noexcept {
+      for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+    }
+    // Copy the buckets into `out`; returns their sum, the sample count.
+    std::uint64_t copy(std::uint64_t (&out)[latency_histogram::num_buckets]) const noexcept {
+      std::uint64_t n = 0;
+      for (int i = 0; i < latency_histogram::num_buckets; ++i) {
+        n += out[i] = buckets_[i].load(std::memory_order_relaxed);
+      }
+      return n;
+    }
+
+   private:
+    std::atomic<std::uint64_t> buckets_[latency_histogram::num_buckets] = {};
+  };
+
+  histogram hold;  // simple locks: every hold; complex locks: write-side holds
+  histogram wait;
+};
+
+// The profile in `slot`, allocated on first use. The caller holds the lock
+// the slot belongs to (a complex lock's interlock), so there is one
+// allocator; the release store publishes the profile to snapshots.
+lock_profile& lock_profile_of(std::atomic<lock_profile*>& slot);
+
+// Zero the profile in `slot`, if it has one (simple_lock_init, lock_init).
+inline void lock_profile_reset(const std::atomic<lock_profile*>& slot) noexcept {
+  if (lock_profile* p = slot.load(std::memory_order_acquire)) {
+    p->hold.reset();
+    p->wait.reset();
+  }
+}
 
 struct lock_stat_entry {
   const void* address;
@@ -31,9 +90,9 @@ struct lock_stat_entry {
   std::uint64_t acquisitions;  // simple: lock+try-success; complex: read+write
   std::uint64_t contended;     // simple: not-first-try; complex: sleeps+spins
   // Hold/wait-time profile, populated only while ktrace is enabled (the
-  // per-lock latency histograms are clock-gated; see trace/ktrace.h).
-  // Quantiles are log2-bucket upper bounds in nanoseconds; counts of 0
-  // mean "never timed", not "instantaneous".
+  // per-lock lock_profile is clock-gated; see trace/ktrace.h). Quantiles
+  // are log2-bucket upper bounds in nanoseconds; counts of 0 (also a lock
+  // with no profile yet) mean "never timed", not "instantaneous".
   std::uint64_t hold_samples = 0;
   std::uint64_t hold_p50_nanos = 0;
   std::uint64_t hold_p99_nanos = 0;

@@ -42,30 +42,34 @@ namespace mach {
 
 struct simple_lock_data_t {
   std::atomic<int> word{0};  // the paper's "C integer"
-  // Debugging & statistics extension, per Appendix A.1:
-  std::atomic<const void*> holder{nullptr};
-  const char* name = "simple-lock";
+  // Debugging & statistics extension, per Appendix A.1 (52 B, packed
+  // around the word; pinned by the Footprint test in tests/test_object.cpp):
   spin_policy policy = spin_policy::tas_then_ttas;
   bool tracked = true;
-  // lockstat counters, mutated only while the lock is held (no extra
-  // synchronization needed; see sync/lockstat.h).
-  std::uint64_t stat_acquisitions = 0;
-  std::uint64_t stat_contended = 0;
+  std::atomic<const void*> holder{nullptr};
+  const char* name = "simple-lock";
+  // lockstat counters, written only while the lock is held (see
+  // sync/lockstat.h).
+  std::atomic<std::uint64_t> stat_acquisitions{0};
+  std::atomic<std::uint64_t> stat_contended{0};
   // Hold/wait-time profiling, populated only while ktrace is enabled
   // (clock reads are too expensive for the always-on path). acquire_nanos
-  // is the current hold's start (0 when untimed); the histograms are
-  // mutated only while the lock is held, like the counters above.
+  // is the current hold's start (0 when untimed); the histograms live in
+  // a profile allocated on the first timed hold or wait and freed with
+  // the lock.
   std::uint64_t acquire_nanos = 0;
-  latency_histogram hold_hist;
-  latency_histogram wait_hist;
+  std::atomic<lock_profile*> profile{nullptr};
 
   simple_lock_data_t() { lock_registry::instance().add(this); }
   explicit simple_lock_data_t(const char* n, bool track = true,
                               spin_policy p = spin_policy::tas_then_ttas)
-      : name(n), policy(p), tracked(track) {
+      : policy(p), tracked(track), name(n) {
     lock_registry::instance().add(this);
   }
-  ~simple_lock_data_t() { lock_registry::instance().remove(this); }
+  ~simple_lock_data_t() {
+    lock_registry::instance().remove(this);  // no snapshot reads the profile after this
+    delete profile.load(std::memory_order_acquire);
+  }
 
   simple_lock_data_t(const simple_lock_data_t&) = delete;
   simple_lock_data_t& operator=(const simple_lock_data_t&) = delete;
@@ -85,8 +89,7 @@ inline void simple_lock_init(simple_lock_data_t* l, const char* name = "simple-l
   l->policy = policy;
   l->tracked = tracked;
   l->acquire_nanos = 0;
-  l->hold_hist = latency_histogram{};
-  l->wait_hist = latency_histogram{};
+  lock_profile_reset(l->profile);
 }
 
 namespace detail {
@@ -102,7 +105,7 @@ namespace detail {
   // span while we still own the lock.
   const std::uint64_t end = now_nanos();
   const std::uint64_t hold = end - l->acquire_nanos;
-  l->hold_hist.record(hold);
+  lock_profile_of(l->profile).hold.record(hold);
   l->acquire_nanos = 0;
   ktrace::emit_span(trace_kind::simple_lock_held, l->name, reinterpret_cast<std::uint64_t>(l),
                     hold, end);
@@ -110,7 +113,7 @@ namespace detail {
 
 inline void note_acquired(simple_lock_data_t* l, const void* me) {
   l->holder.store(me, std::memory_order_relaxed);
-  ++l->stat_acquisitions;  // safe: we hold the lock
+  holder_increment(l->stat_acquisitions);
   // Hold-time profiling only while tracing: the enabled() check is one
   // relaxed load, so the disabled fast path stays clock-free.
   l->acquire_nanos = 0;
@@ -156,12 +159,12 @@ inline void simple_lock(simple_lock_data_t* l, spin_stats* stats = nullptr) {
   }
   detail::note_acquired(l, me);
   if (contended) {
-    ++l->stat_contended;  // safe: we hold the lock
+    holder_increment(l->stat_contended);
     // acquire_nanos doubles as the wait's end stamp; both are non-zero
     // only if tracing stayed on across the whole wait.
     if (wait_start != 0 && l->acquire_nanos != 0) {
       const std::uint64_t wait = l->acquire_nanos - wait_start;
-      l->wait_hist.record(wait);  // safe: we hold the lock
+      lock_profile_of(l->profile).wait.record(wait);
       ktrace::emit_span(trace_kind::simple_lock_wait, l->name,
                         reinterpret_cast<std::uint64_t>(l), wait, l->acquire_nanos);
     }

@@ -19,7 +19,7 @@ std::uint64_t vpn(std::uint64_t va) { return va >> vm_page_shift; }
 
 }  // namespace
 
-pmap::pmap(const char* name) : name_(name) { simple_lock_init(&lock_, name); }
+pmap::pmap(const char* name) : lock_(name), name_(name) {}
 
 spl_t pmap::lock_acquire() {
   // Consistent interrupt priority for this lock class (section 7), raised

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 
+#include "harness/mini_json.h"
 #include "sched/kthread.h"
 #include "sync/complex_lock.h"
 #include "sync/lockstat.h"
 #include "sync/simple_lock.h"
 #include "tests/test_util.h"
+#include "trace/ktrace.h"
 
 namespace mach {
 namespace {
@@ -117,6 +120,157 @@ TEST(Lockstat, SnapshotTieBreaksByNameThenAddress) {
 TEST(Lockstat, PrintTopDoesNotExplode) {
   // Smoke: the report renders with whatever is live (captured by ctest).
   lock_registry::instance().print_top(5);
+}
+
+// --- lock profiles: allocated on the first timed hold or wait ---
+
+class LockProfile : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ktrace::disable();
+    ktrace::reset();
+  }
+  void TearDown() override {
+    ktrace::disable();
+    ktrace::reset();
+  }
+
+  // A traced hold of at least `nanos`: the hold histogram's bucket bound
+  // is then >= nanos.
+  static void timed_hold(simple_lock_data_t& l, std::uint64_t nanos) {
+    ktrace::enable();
+    simple_lock(&l);
+    const std::uint64_t until = now_nanos() + nanos;
+    while (now_nanos() < until) cpu_relax();
+    simple_unlock(&l);
+    ktrace::disable();
+  }
+
+  // The JSON object of the lock named `name` (names are unique per test;
+  // a complex lock's interlock shares its name, so match the kind too).
+  static mini_json::value json_entry(const std::string& name, const char* kind = "simple") {
+    mini_json::value root;
+    mini_json::parser p(lock_registry::instance().snapshot_json());
+    EXPECT_TRUE(p.parse(root)) << p.error();
+    for (const mini_json::value& e : root.arr) {
+      if (e.find("name")->str == name && e.find("kind")->str == kind) return e;
+    }
+    ADD_FAILURE() << name << " missing from the JSON snapshot";
+    return {};
+  }
+};
+
+TEST_F(LockProfile, UntracedLocksAllocateNone) {
+  simple_lock_data_t s("untraced-simple");
+  for (int i = 0; i < 100; ++i) {
+    simple_lock(&s);
+    simple_unlock(&s);
+  }
+  lock_data_t c;
+  lock_init(&c, true, "untraced-complex");
+  lock_read(&c);
+  lock_done(&c);
+  lock_write(&c);
+  lock_done(&c);
+  EXPECT_EQ(s.profile.load(), nullptr);
+  EXPECT_EQ(c.profile.load(), nullptr);
+  for (const lock_stat_entry& e : {find_entry(&s), find_entry(&c, /*is_complex=*/true)}) {
+    EXPECT_GE(e.acquisitions, 2u) << e.name;
+    EXPECT_EQ(e.hold_samples, 0u) << e.name;
+    EXPECT_EQ(e.wait_samples, 0u) << e.name;
+  }
+  for (const mini_json::value& e :
+       {json_entry("untraced-simple"), json_entry("untraced-complex", "complex")}) {
+    EXPECT_EQ(e.find("hold"), nullptr);  // never timed -> omitted
+    EXPECT_EQ(e.find("wait"), nullptr);
+  }
+}
+
+TEST_F(LockProfile, TracedSimpleHoldCreatesTheProfile) {
+  simple_lock_data_t l("traced-simple-hold");
+  timed_hold(l, 2000);
+  ASSERT_NE(l.profile.load(), nullptr);
+  const lock_stat_entry e = find_entry(&l);
+  EXPECT_EQ(e.hold_samples, 1u);
+  EXPECT_GE(e.hold_p50_nanos, 2000u);
+  EXPECT_GE(e.hold_p99_nanos, e.hold_p50_nanos);
+  EXPECT_EQ(e.wait_samples, 0u);
+  const mini_json::value j = json_entry("traced-simple-hold");
+  ASSERT_NE(j.find("hold"), nullptr);
+  EXPECT_EQ(j.find("hold")->find("samples")->num, 1.0);
+  EXPECT_EQ(j.find("wait"), nullptr);
+}
+
+TEST_F(LockProfile, TracedSimpleWaitIsRecorded) {
+  simple_lock_data_t l("traced-simple-wait");
+  std::atomic<bool> held{false}, release{false};
+  ktrace::enable();
+  auto holder = kthread::spawn("holder", [&] {
+    simple_lock(&l);
+    held.store(true);
+    while (!release.load()) cpu_relax();
+    simple_unlock(&l);
+  });
+  while (!held.load()) std::this_thread::yield();
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    release.store(true);
+  });
+  simple_lock(&l);  // contended, timed
+  simple_unlock(&l);
+  holder->join();
+  releaser.join();
+  ktrace::disable();
+  const lock_stat_entry e = find_entry(&l);
+  EXPECT_EQ(e.contended, 1u);
+  EXPECT_EQ(e.wait_samples, 1u);
+  EXPECT_GT(e.wait_p50_nanos, 0u);
+  EXPECT_EQ(e.hold_samples, 2u);
+}
+
+TEST_F(LockProfile, TracedComplexHoldAndWaitCreateTheProfile) {
+  lock_data_t l;
+  lock_init(&l, /*can_sleep=*/true, "traced-complex");
+  ktrace::enable();
+  lock_read(&l);
+  auto writer = kthread::spawn("writer", [&] {
+    lock_write(&l);  // waits for the read hold: a timed write wait
+    lock_done(&l);   // a timed write hold
+  });
+  EXPECT_TRUE(testing::wait_until_blocked(*writer, kprof::activity::lock_waiting));
+  lock_done(&l);
+  writer->join();
+  ktrace::disable();
+  ASSERT_NE(l.profile.load(), nullptr);
+  const lock_stat_entry e = find_entry(&l, /*is_complex=*/true);
+  EXPECT_EQ(e.hold_samples, 1u);
+  EXPECT_EQ(e.wait_samples, 1u);
+  EXPECT_GT(e.wait_p50_nanos, 0u);
+  EXPECT_GE(e.wait_p99_nanos, e.wait_p50_nanos);
+  const mini_json::value j = json_entry("traced-complex", "complex");
+  EXPECT_NE(j.find("hold"), nullptr);
+  EXPECT_NE(j.find("wait"), nullptr);
+}
+
+TEST_F(LockProfile, InitClearsTheSamples) {
+  simple_lock_data_t s("init-simple");
+  timed_hold(s, 0);
+  lock_profile* const sp = s.profile.load();
+  ASSERT_NE(sp, nullptr);
+  simple_lock_init(&s, "init-simple");
+  EXPECT_EQ(s.profile.load(), sp);  // kept, zeroed
+  EXPECT_EQ(find_entry(&s).hold_samples, 0u);
+
+  lock_data_t c;
+  lock_init(&c, true, "init-complex");
+  ktrace::enable();
+  lock_write(&c);
+  lock_done(&c);
+  ktrace::disable();
+  ASSERT_EQ(find_entry(&c, /*is_complex=*/true).hold_samples, 1u);
+  lock_init(&c, true, "init-complex");
+  EXPECT_EQ(find_entry(&c, /*is_complex=*/true).hold_samples, 0u);
+  EXPECT_EQ(json_entry("init-complex", "complex").find("hold"), nullptr);
 }
 
 }  // namespace

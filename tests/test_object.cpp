@@ -11,6 +11,7 @@
 
 #include "kern/object.h"
 #include "kern/refcount.h"
+#include "sync/complex_lock.h"
 #include "tests/test_util.h"
 #include "trace/ktrace.h"
 
@@ -82,6 +83,18 @@ TEST(RefcountDefault, KobjectsDefaultToAtomic) {
   };
   auto o = make_object<plain>();
   EXPECT_EQ(o->ref_policy(), refcount_policy::atomic);
+}
+
+// Footprint bounds. A simple lock is the paper's C integer plus a few
+// words of statistics (its latency profile is allocated only once traced),
+// and the count union is sized by the locked policy, not by the striped
+// slots, so every kobject fits in a few cache lines.
+TEST(Footprint, LocksAndObjectsStaySmall) {
+  EXPECT_LE(sizeof(simple_lock_data_t), 64u);
+  EXPECT_LE(sizeof(lock_data_t), 384u);
+  EXPECT_LE(sizeof(krefcount), 80u);
+  EXPECT_LE(sizeof(kobject), 256u);
+  EXPECT_EQ(alignof(kobject), cacheline_size);
 }
 
 // Cross-thread release: references acquired on one thread (slot) and

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
+#include <vector>
 
 #include "kern/pset.h"
 #include "sched/kthread.h"
@@ -90,6 +92,32 @@ TEST(ProcessorSet, ShutdownDropsEverything) {
   EXPECT_EQ(ps->task_count(), 0u);
   EXPECT_EQ(ps->processor_count(), 0u);
   EXPECT_EQ(t->ref_count(), 1);  // the set's reference was released
+}
+
+// A pset's striped count keeps its slots out of line: a clone/release
+// storm from more threads than slots keeps the count exact, and the last
+// release destroys the set exactly once.
+TEST(ProcessorSet, StripedCountSurvivesACloneReleaseStorm) {
+  const std::uint64_t live_before = kobject::live_objects();
+  auto ps = make_object<processor_set>("pset-storm");
+  ASSERT_EQ(ps->ref_policy(), refcount_policy::striped);
+  constexpr int threads = 12;
+  constexpr int iters = 20000;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      std::vector<ref_ptr<processor_set>> held;
+      for (int i = 0; i < iters; ++i) {
+        held.push_back(ps);  // clone
+        if (held.size() > static_cast<std::size_t>(t % 4)) held.clear();  // release
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(ps->ref_count(), 1);
+  EXPECT_EQ(kobject::live_objects(), live_before + 1);
+  ps.reset();  // the last reference
+  EXPECT_EQ(kobject::live_objects(), live_before);
 }
 
 // Property: a storm of concurrent moves between two sets never loses or

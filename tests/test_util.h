@@ -38,15 +38,16 @@ class kmon_scope {
 
 // Bounded wait until `t` is inside thread_block past its early-wakeup
 // check: its kprof activity word then reads blocked (spinning or parked).
+// A complex-lock wait publishes lock_waiting instead; pass that as `state`.
 // Reads the slot table directly: kprof::activity_for also resolves the
 // site through a lock-registry snapshot, far slower than a spin budget.
-inline bool wait_until_blocked(const kthread& t) {
+inline bool wait_until_blocked(const kthread& t,
+                               kprof::activity state = kprof::activity::blocked) {
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (std::chrono::steady_clock::now() < deadline) {
     for (const kprof::detail::activity_slot& s : kprof::detail::g_slots) {
       if (s.token.load(std::memory_order_acquire) == t.token() &&
-          kprof::unpack_state(s.word.load(std::memory_order_relaxed)) ==
-              kprof::activity::blocked) {
+          kprof::unpack_state(s.word.load(std::memory_order_relaxed)) == state) {
         return true;
       }
     }
