@@ -38,7 +38,7 @@ mc_load_spec base_spec(int duration_ms) {
   s.keyspace = 512;
   s.del_every = 8;
   s.bind_vcpus = true;  // one worker per virtual CPU (machine::configure in main)
-  s.cache.shards = mc_shards_from_env(4);
+  s.cache.shards = 4;
   // Headroom over the keyspace: an overwrite holds old + new blocks
   // briefly, so a zone sized exactly to the keyspace would refuse every
   // steady-state SET (see mc_cache::set).

@@ -11,8 +11,8 @@
 // nothing leaks.
 //
 // Usage: machcached [connections] [workers] [duration_ms] [read_pct]
-// Knobs: MACHLOCK_CACHE_SHARDS (item-table stripes, default 4), plus the
-//        usual observability matrix (MACHLOCK_TRACE / _LOCKSTAT / _SPANS ...).
+// The item table has 4 stripes. Knobs: the usual observability matrix
+// (MACHLOCK_TRACE / _LOCKSTAT / _SPANS ...).
 #include <cstdio>
 #include <cstdlib>
 
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   spec.duration_ms = argc > 3 ? std::atoi(argv[3]) : 300;
   spec.read_pct = argc > 4 ? std::atoi(argv[4]) : 90;
   spec.keyspace = 512;
-  spec.cache.shards = mc_shards_from_env(4);
+  spec.cache.shards = 4;
   spec.cache.max_items = 2 * spec.keyspace;
   spec.bind_vcpus = true;
   machine::instance().configure(spec.workers);

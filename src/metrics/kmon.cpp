@@ -12,15 +12,6 @@
 
 namespace mach::kmon {
 
-namespace detail {
-
-std::atomic<bool> g_enabled{false};
-
-}  // namespace detail
-
-void enable() noexcept { detail::g_enabled.store(true, std::memory_order_relaxed); }
-void disable() noexcept { detail::g_enabled.store(false, std::memory_order_relaxed); }
-
 const char* to_string(metric_kind k) noexcept {
   switch (k) {
     case metric_kind::counter: return "counter";

@@ -38,19 +38,16 @@
 #include <vector>
 
 #include "base/compiler.h"
+#include "base/debug_planes.h"
 #include "base/stats.h"
 
 namespace mach::kmon {
 
-namespace detail {
-extern std::atomic<bool> g_enabled;
-}  // namespace detail
-
 // The global switch. enabled() is the update fast path: a single relaxed
 // load, so disabled metrics stay near-free.
-inline bool enabled() noexcept { return detail::g_enabled.load(std::memory_order_relaxed); }
-void enable() noexcept;
-void disable() noexcept;
+inline bool enabled() noexcept { return debug_planes_on(plane_kmon); }
+inline void enable() noexcept { set_debug_plane(plane_kmon, true); }
+inline void disable() noexcept { set_debug_plane(plane_kmon, false); }
 
 enum class metric_kind { counter, gauge, histogram };
 const char* to_string(metric_kind k) noexcept;

@@ -2,13 +2,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
-#include "base/compiler.h"
 #include "base/panic.h"
 #include "base/stats.h"
 #include "prof/kprof.h"
@@ -33,84 +31,29 @@ const char* to_string(stall_kind k) noexcept {
 
 namespace watchdog_detail {
 
-std::atomic<bool> g_armed{false};
-constinit thread_local int t_wait_depth = 0;
-
-namespace {
-
-// The stall table: one seqlock-published slot per waiting thread. Writers
-// (the waiting threads) touch only their own slot; the monitor reads all
-// slots racily and discards torn reads via the sequence check.
-struct alignas(cacheline_size) stall_slot {
-  std::atomic<std::uint64_t> seq{0};       // odd while the owner writes
-  std::atomic<const void*> thread{nullptr};  // owner token; null = slot free
-  std::atomic<const void*> resource{nullptr};
-  std::atomic<const char*> rname{nullptr};
-  std::atomic<std::uint64_t> since{0};
-  std::atomic<int> kind{0};
-  // The waiter's kspan context at wait begin (0 when none): a trip report
-  // can then name the stalled *request*, not just the stalled thread.
-  std::atomic<std::uint64_t> span{0};
-};
-
-constexpr int k_stall_slots = 256;
-stall_slot g_stalls[k_stall_slots];
-
-// Per-thread slot ownership, released at thread exit so slots recycle
-// across the short-lived kthreads the tests and benches spawn.
-struct slot_owner {
-  int idx = -1;
-  ~slot_owner() {
-    if (idx < 0) return;
-    stall_slot& s = g_stalls[idx];
-    const std::uint64_t q = s.seq.load(std::memory_order_relaxed);
-    s.seq.store(q + 1, std::memory_order_relaxed);
-    s.kind.store(static_cast<int>(stall_kind::none), std::memory_order_relaxed);
-    s.seq.store(q + 2, std::memory_order_release);
-    s.thread.store(nullptr, std::memory_order_release);
-  }
-};
-thread_local slot_owner t_slot;
-
-int claim_slot() {
-  const void* me = current_thread_token();
-  const std::size_t h = std::hash<const void*>{}(me);
-  for (int i = 0; i < k_stall_slots; ++i) {
-    const int idx = static_cast<int>((h + static_cast<std::size_t>(i)) % k_stall_slots);
-    const void* expect = nullptr;
-    if (g_stalls[idx].thread.compare_exchange_strong(expect, me, std::memory_order_acq_rel)) {
-      return idx;
-    }
-  }
-  return -1;  // table full: this stall goes unobserved, nothing breaks
+bool note_wait_begin(kprof::detail::activity_slot* s, stall_kind k, const void* resource,
+                     const char* name) noexcept {
+  if (s->stall.load(std::memory_order_relaxed) != stall_kind::none) return false;
+  // Seqlock write without fences (ThreadSanitizer does not model them):
+  // release stores keep each field behind the odd sequence number, and
+  // the monitor's acquire loads keep its second sequence read behind them.
+  const std::uint32_t q = s->seq.load(std::memory_order_relaxed);
+  s->seq.store(q + 1, std::memory_order_relaxed);
+  s->resource.store(resource, std::memory_order_release);
+  s->resource_name.store(name, std::memory_order_release);
+  s->since.store(now_nanos(), std::memory_order_release);
+  s->span.store(kspan::current(), std::memory_order_release);
+  s->stall.store(k, std::memory_order_release);
+  s->seq.store(q + 2, std::memory_order_release);
+  return true;
 }
 
-}  // namespace
-
-void note_wait_begin_slow(stall_kind k, const void* resource, const char* name) noexcept {
-  if (++t_wait_depth > 1) return;  // the outermost wait names the stall
-  if (t_slot.idx < 0) t_slot.idx = claim_slot();
-  if (t_slot.idx < 0) return;
-  stall_slot& s = g_stalls[t_slot.idx];
-  const std::uint64_t q = s.seq.load(std::memory_order_relaxed);
-  s.seq.store(q + 1, std::memory_order_relaxed);
-  s.resource.store(resource, std::memory_order_relaxed);
-  s.rname.store(name, std::memory_order_relaxed);
-  s.since.store(now_nanos(), std::memory_order_relaxed);
-  s.kind.store(static_cast<int>(k), std::memory_order_relaxed);
-  s.span.store(kspan::current(), std::memory_order_relaxed);
-  s.seq.store(q + 2, std::memory_order_release);
-}
-
-void note_wait_end_slow() noexcept {
-  if (--t_wait_depth > 0) return;
-  if (t_slot.idx < 0) return;
-  stall_slot& s = g_stalls[t_slot.idx];
-  const std::uint64_t q = s.seq.load(std::memory_order_relaxed);
-  s.seq.store(q + 1, std::memory_order_relaxed);
-  s.kind.store(static_cast<int>(stall_kind::none), std::memory_order_relaxed);
-  s.span.store(0, std::memory_order_relaxed);
-  s.seq.store(q + 2, std::memory_order_release);
+void note_wait_end(kprof::detail::activity_slot* s) noexcept {
+  const std::uint32_t q = s->seq.load(std::memory_order_relaxed);
+  s->seq.store(q + 1, std::memory_order_relaxed);
+  s->stall.store(stall_kind::none, std::memory_order_release);
+  s->span.store(0, std::memory_order_release);
+  s->seq.store(q + 2, std::memory_order_release);
 }
 
 }  // namespace watchdog_detail
@@ -161,7 +104,8 @@ struct watchdog::impl {
 
   std::string build_report(stall_kind k, const void* thread, const void* resource,
                            const char* rname, std::uint64_t age_nanos,
-                           std::uint64_t deadline_nanos, std::uint64_t span) {
+                           std::uint64_t deadline_nanos, std::uint64_t span,
+                           kprof::activity_word word) {
     wait_graph& wg = wait_graph::instance();
     std::ostringstream os;
     os << "== machlock watchdog trip ==\n";
@@ -176,19 +120,15 @@ struct watchdog::impl {
                     span_span_id(span));
       os << buf;
     }
-    // What the thread itself last published to the kprof slot table — the
-    // deadline says how long it has been stuck; the activity word says
-    // what it was last observed DOING (spinning on which lock, blocked on
-    // which event), even when the sampler is not running.
-    const kprof::thread_activity act = kprof::activity_for(thread);
-    if (act.found) {
-      os << "activity: " << kprof::to_string(act.state);
-      if (!act.site.empty()) os << " on '" << act.site << "'";
-      if (act.request) os << " (in-request)";
-      os << "\n";
-    } else {
-      os << "activity: (thread never published to kprof)\n";
-    }
+    // The activity word from the same slot — the deadline says how long
+    // the thread has been stuck; the word says what it was last observed
+    // DOING (spinning on which lock, blocked on which event), even when
+    // the sampler is not running.
+    const kprof::thread_activity act = kprof::decode(word);
+    os << "activity: " << kprof::to_string(act.state);
+    if (!act.site.empty()) os << " on '" << act.site << "'";
+    if (act.request) os << " (in-request)";
+    os << "\n";
     if (k == stall_kind::simple_spin && resource != nullptr) {
       // The waiter is still spinning, so the lock structure is alive.
       const auto* l = static_cast<const simple_lock_data_t*>(resource);
@@ -232,8 +172,10 @@ struct watchdog::impl {
   }
 
   void trip(stall_kind k, const void* thread, const void* resource, const char* rname,
-            std::uint64_t age, std::uint64_t deadline, std::uint64_t span) {
-    const std::string report = build_report(k, thread, resource, rname, age, deadline, span);
+            std::uint64_t age, std::uint64_t deadline, std::uint64_t span,
+            kprof::activity_word word) {
+    const std::string report =
+        build_report(k, thread, resource, rname, age, deadline, span, word);
     trips.fetch_add(1, std::memory_order_relaxed);
     std::function<void(const std::string&)> sink;
     bool do_panic = false;
@@ -257,30 +199,32 @@ struct watchdog::impl {
     }
   }
 
+  // Poll the kprof slot table. The owners write their records racily;
+  // the sequence check discards torn reads (see note_wait_begin).
   void scan(std::map<int, std::uint64_t>& reported) {
-    using watchdog_detail::g_stalls;
     const std::uint64_t now = now_nanos();
-    for (int i = 0; i < watchdog_detail::k_stall_slots; ++i) {
-      auto& s = g_stalls[i];
-      const std::uint64_t q1 = s.seq.load(std::memory_order_acquire);
+    for (int i = 0; i < kprof::detail::k_slots; ++i) {
+      const kprof::detail::activity_slot& s = kprof::detail::g_slots[i];
+      const std::uint32_t q1 = s.seq.load(std::memory_order_acquire);
       if (q1 & 1) continue;  // owner mid-write
-      const auto k = static_cast<stall_kind>(s.kind.load(std::memory_order_relaxed));
+      const stall_kind k = s.stall.load(std::memory_order_acquire);
       if (k == stall_kind::none) {
         reported.erase(i);
         continue;
       }
-      const void* resource = s.resource.load(std::memory_order_relaxed);
-      const char* rname = s.rname.load(std::memory_order_relaxed);
-      const std::uint64_t since = s.since.load(std::memory_order_relaxed);
-      const void* thread = s.thread.load(std::memory_order_relaxed);
-      const std::uint64_t span = s.span.load(std::memory_order_relaxed);
-      if (s.seq.load(std::memory_order_acquire) != q1) continue;  // torn read
+      const void* resource = s.resource.load(std::memory_order_acquire);
+      const char* rname = s.resource_name.load(std::memory_order_acquire);
+      const std::uint64_t since = s.since.load(std::memory_order_acquire);
+      const void* thread = s.token.load(std::memory_order_acquire);
+      const std::uint64_t span = s.span.load(std::memory_order_acquire);
+      const kprof::activity_word word = s.word.load(std::memory_order_relaxed);
+      if (s.seq.load(std::memory_order_relaxed) != q1) continue;  // torn read
       const std::uint64_t deadline = deadline_nanos(k);
       if (now - since < deadline) continue;
       auto it = reported.find(i);
       if (it != reported.end() && it->second == since) continue;  // already tripped
       reported[i] = since;
-      trip(k, thread, resource, rname, now - since, deadline, span);
+      trip(k, thread, resource, rname, now - since, deadline, span, word);
     }
   }
 
@@ -309,7 +253,7 @@ void watchdog::start(const watchdog_config& cfg) {
   if (s.running) return;
   s.cfg = cfg;
   s.stop.store(false);
-  watchdog_detail::g_armed.store(true, std::memory_order_relaxed);
+  set_debug_plane(plane_watchdog, true);
   s.thread = std::thread([&s] { s.loop(); });
   s.running = true;
 }
@@ -319,7 +263,7 @@ void watchdog::stop() {
   {
     std::lock_guard<std::mutex> g(s.m);
     if (!s.running) return;
-    watchdog_detail::g_armed.store(false, std::memory_order_relaxed);
+    set_debug_plane(plane_watchdog, false);
     s.stop.store(true);
   }
   s.thread.join();

@@ -14,18 +14,20 @@
 //   * writer_wait    — a complex-lock writer (or upgrader) starved past its
 //                      deadline (readers never drain).
 //
-// Each waiting thread publishes its current wait in a per-thread slot of a
-// lock-free stall table via a seqlock protocol; the monitor polls the table
-// and, when a wait exceeds its class deadline, composes a trip report:
-// the stalled thread and resource, the resource's holder (for locks), the
-// wait-graph's held-lock dump and cycle report (when deadlock tracing is
-// on), the lockstat top table, and the recent ktrace tail (when tracing is
-// on) — then optionally panics.
+// Each wait is published, by a wait_scope, to the waiting thread's kprof
+// slot (prof/kprof.h): the slot is the thread's one wait record. The
+// monitor polls the slot table and, when a wait exceeds its class
+// deadline, composes a trip report: the stalled thread and resource, what
+// its activity word says it is doing, the resource's holder (for locks),
+// the wait-graph's held-lock dump and cycle report (when deadlock tracing
+// is on), the lockstat top table, and the recent ktrace tail (when tracing
+// is on) — then optionally panics.
 //
-// Cost model: hooks sit ONLY in wait slow paths (a contended acquisition,
-// an actual suspension); the uncontended fast paths are untouched. A
-// disarmed begin hook is one relaxed load; a disarmed end hook is one
-// thread-local read.
+// Cost model: wait scopes sit ONLY in wait slow paths (a contended
+// acquisition, an actual suspension); the uncontended fast paths are
+// untouched. Disarmed, a scope costs kprof's save/publish/restore of the
+// activity word plus one relaxed load of the debug-plane gate; the clock is
+// read and the record written only while the watchdog is armed.
 //
 // Enable programmatically (watchdog::instance().start(cfg)) or via the
 // environment through trace_session: MACHLOCK_WATCHDOG=1 with optional
@@ -39,38 +41,61 @@
 #include <functional>
 #include <string>
 
+#include "base/debug_planes.h"
+#include "prof/kprof.h"
+
 namespace mach {
 
 enum class stall_kind : int { none = 0, simple_spin, thread_blocked, writer_wait };
 const char* to_string(stall_kind k) noexcept;
 
+inline bool watchdog_armed() noexcept { return debug_planes_on(plane_watchdog); }
+
 namespace watchdog_detail {
-extern std::atomic<bool> g_armed;
-// constinit: reads skip the TLS init wrapper (see kprof::detail::t_slot).
-extern constinit thread_local int t_wait_depth;
-void note_wait_begin_slow(stall_kind k, const void* resource, const char* name) noexcept;
-void note_wait_end_slow() noexcept;
+// Write / retire the watchdog record in `s`. Begin returns false, writing
+// nothing, when an outer wait already holds the record: nested waits (a
+// starved writer that sleeps through the event system) keep the outermost
+// entry, which names the real stall.
+[[gnu::cold]] bool note_wait_begin(kprof::detail::activity_slot* s, stall_kind k,
+                                   const void* resource, const char* name) noexcept;
+[[gnu::cold]] void note_wait_end(kprof::detail::activity_slot* s) noexcept;
 }  // namespace watchdog_detail
 
-inline bool watchdog_armed() noexcept {
-  return watchdog_detail::g_armed.load(std::memory_order_relaxed);
-}
+// One wait, published to the calling thread's kprof slot from construction
+// to destruction: kprof's activity word (`a` on the lock `name`, or on the
+// event `resource` for a block), restored to the outer word at the end so
+// nested waits unwind to the outer attribution; and, for a watched class
+// while the watchdog is armed, the deadline record the watchdog polls. The
+// end is not gated on the armed bit, so a record made while armed is
+// retired even if the watchdog stops mid-wait. A block inside a complex-lock
+// wait keeps the lock's attribution: naming the lock beats naming the
+// lock's event address.
+class wait_scope {
+ public:
+  wait_scope(kprof::activity a, const void* resource, const char* name,
+             stall_kind k = stall_kind::none) noexcept
+      : slot_(kprof::self_slot()), prev_(slot_->word.load(std::memory_order_relaxed)) {
+    const bool block = a == kprof::activity::blocked;
+    if (!block || kprof::unpack_state(prev_) != kprof::activity::lock_waiting) {
+      slot_->word.store(kprof::pack(a, block ? resource : name, kspan::current() != 0),
+                        std::memory_order_relaxed);
+    }
+    if (k != stall_kind::none && watchdog_armed()) [[unlikely]] {
+      watched_ = watchdog_detail::note_wait_begin(slot_, k, resource, name);
+    }
+  }
+  ~wait_scope() {
+    if (watched_) [[unlikely]] watchdog_detail::note_wait_end(slot_);
+    slot_->word.store(prev_, std::memory_order_relaxed);
+  }
+  wait_scope(const wait_scope&) = delete;
+  wait_scope& operator=(const wait_scope&) = delete;
 
-// Publish "the current thread is now waiting on `resource`". Nested waits
-// (a starved writer that sleeps through the event system) keep the
-// outermost entry — it names the real stall.
-inline void watchdog_note_wait_begin(stall_kind k, const void* resource,
-                                     const char* name) noexcept {
-  if (!watchdog_armed()) [[likely]] return;
-  watchdog_detail::note_wait_begin_slow(k, resource, name);
-}
-
-// Retire the matching begin. Not gated on the armed flag so an entry made
-// while armed is cleared even if the watchdog stops mid-wait.
-inline void watchdog_note_wait_end() noexcept {
-  if (watchdog_detail::t_wait_depth == 0) [[likely]] return;
-  watchdog_detail::note_wait_end_slow();
-}
+ private:
+  kprof::detail::activity_slot* slot_;
+  kprof::activity_word prev_;
+  bool watched_ = false;
+};
 
 struct watchdog_config {
   std::chrono::milliseconds poll{10};

@@ -36,9 +36,10 @@ constinit thread_local activity_slot* t_slot = nullptr;
 namespace {
 
 // Releases the slot at thread exit so the table recycles across the
-// short-lived kthreads the tests and benches spawn (the watchdog
-// stall-table pattern). Word is cleared before the token so the sampler
-// never attributes a stale word to the slot's next owner.
+// short-lived kthreads the tests and benches spawn. Word is cleared before
+// the token so the sampler never attributes a stale word to the slot's
+// next owner. The watchdog record needs no clearing: every watched wait
+// ends (wait_scope) before its thread can exit.
 struct slot_owner {
   activity_slot* slot = nullptr;
   ~slot_owner() {
@@ -106,27 +107,27 @@ std::unordered_map<std::uint64_t, const char*> live_lock_addresses() {
 
 }  // namespace
 
-thread_activity activity_for(const void* token) noexcept {
+thread_activity decode(activity_word w) {
   thread_activity out;
-  for (int i = 0; i < detail::k_slots; ++i) {
-    detail::activity_slot& s = detail::g_slots[i];
-    if (s.token.load(std::memory_order_acquire) != token) continue;
-    const activity_word w = s.word.load(std::memory_order_relaxed);
-    out.found = true;
-    out.state = unpack_state(w);
-    out.request = unpack_request(w);
-    const std::uint64_t subject = unpack_subject(w);
-    if (subject != 0) {
-      if (out.state == activity::blocked) {
-        const auto locks = live_lock_addresses();
-        out.site = resolve_site(out.state, subject, &locks);
-      } else {
-        out.site = resolve_site(out.state, subject, nullptr);
-      }
-    }
-    return out;
+  out.found = true;
+  out.state = unpack_state(w);
+  out.request = unpack_request(w);
+  if (out.state == activity::blocked) {
+    const auto locks = live_lock_addresses();
+    out.site = resolve_site(out.state, unpack_subject(w), &locks);
+  } else {
+    out.site = resolve_site(out.state, unpack_subject(w), nullptr);
   }
   return out;
+}
+
+thread_activity activity_for(const void* token) noexcept {
+  for (const detail::activity_slot& s : detail::g_slots) {
+    if (s.token.load(std::memory_order_acquire) == token) {
+      return decode(s.word.load(std::memory_order_relaxed));
+    }
+  }
+  return {};
 }
 
 // --- sampler ---

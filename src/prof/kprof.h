@@ -33,6 +33,9 @@
 //                  resolved against the lock registry at export when the
 //                  event is a live lock (thread_sleep style waits).
 //
+// The slot is also the thread's one wait record: the stall watchdog polls
+// the same table for wait deadlines (metrics/watchdog.h, wait_scope).
+//
 // Word layout: [63:56] state, [55] request flag (a kspan context was
 // active when published), [54:0] subject. Lock-state subjects are static
 // name pointers (the ktrace contract: lock names are string literals);
@@ -55,6 +58,10 @@
 
 #include "base/compiler.h"
 #include "trace/kspan.h"
+
+namespace mach {
+enum class stall_kind : int;  // the watchdog's deadline classes (metrics/watchdog.h)
+}  // namespace mach
 
 namespace mach::kprof {
 
@@ -89,11 +96,21 @@ namespace detail {
 // One thread's published slot. The owner writes `word` with plain relaxed
 // stores; the sampler reads all slots racily — a torn observation is
 // impossible (single 64-bit atomic) and a stale one is just the previous
-// instant's truth.
+// instant's truth. The fields after `word` are the watchdog's record of the
+// thread's outermost watched wait, written only while the watchdog is
+// armed and published by a seqlock (`seq` odd while the owner writes), so
+// the monitor reads them as one consistent record.
 struct alignas(cacheline_size) activity_slot {
   std::atomic<const void*> token{nullptr};  // owner thread token; null = free
   std::atomic<activity_word> word{0};
+  std::atomic<std::uint32_t> seq{0};
+  std::atomic<stall_kind> stall{};  // stall_kind::none: no watched wait
+  std::atomic<const void*> resource{nullptr};
+  std::atomic<const char*> resource_name{nullptr};
+  std::atomic<std::uint64_t> since{0};  // now_nanos() at the wait's start
+  std::atomic<std::uint64_t> span{0};   // the waiter's kspan context, 0 = none
 };
+static_assert(sizeof(activity_slot) == cacheline_size, "one wait record per cache line");
 
 inline constexpr int k_slots = 256;
 extern activity_slot g_slots[k_slots];
@@ -109,13 +126,18 @@ activity_slot* claim_slot() noexcept;
 
 }  // namespace detail
 
+// The calling thread's slot, claimed on first use.
+inline detail::activity_slot* self_slot() noexcept {
+  detail::activity_slot* s = detail::t_slot;
+  if (s == nullptr) [[unlikely]] s = detail::claim_slot();
+  return s;
+}
+
 // Publish the calling thread's activity: one relaxed store (plus a
 // once-per-thread slot claim). Always on — the sampler decides whether
 // anyone is reading.
 inline void publish(activity a, const void* subject) noexcept {
-  detail::activity_slot* s = detail::t_slot;
-  if (s == nullptr) [[unlikely]] s = detail::claim_slot();
-  s->word.store(pack(a, subject, kspan::current() != 0), std::memory_order_relaxed);
+  self_slot()->word.store(pack(a, subject, kspan::current() != 0), std::memory_order_relaxed);
 }
 
 // The calling thread's current packed word (0 when nothing published) /
@@ -127,20 +149,20 @@ inline activity_word self_word() noexcept {
   return s == nullptr ? 0 : s->word.load(std::memory_order_relaxed);
 }
 inline void publish_word(activity_word w) noexcept {
-  detail::activity_slot* s = detail::t_slot;
-  if (s == nullptr) [[unlikely]] s = detail::claim_slot();
-  s->word.store(w, std::memory_order_relaxed);
+  self_slot()->word.store(w, std::memory_order_relaxed);
 }
 
-// Decoded activity of a thread by token (for the watchdog trip reports).
-// `found` is false when the thread never published. `site` resolves the
-// subject the same way the exporter does (lock name / "event:0x...").
+// A decoded activity word (for the watchdog trip reports). `site` resolves
+// the subject the same way the exporter does (lock name / "event:0x...").
 struct thread_activity {
   bool found = false;
   activity state = activity::running;
   bool request = false;
   std::string site;
 };
+thread_activity decode(activity_word w);
+// The activity of a thread by token; `found` is false when the thread
+// never published.
 thread_activity activity_for(const void* token) noexcept;
 
 // --- sampler ---

@@ -15,7 +15,6 @@
 #include "base/panic.h"
 #include "metrics/kmetrics.h"
 #include "metrics/watchdog.h"
-#include "prof/kprof.h"
 #include "trace/kspan.h"
 #include "trace/ktrace.h"
 
@@ -49,29 +48,6 @@ int usable_cpus() noexcept {
   }();
   return n;
 }
-
-// Publishes "this thread is suspended" to the stall watchdog; the dtor
-// covers every return path out of block(), including timeout bookkeeping.
-struct watchdog_blocked_scope {
-  explicit watchdog_blocked_scope(const void* ev) {
-    watchdog_note_wait_begin(stall_kind::thread_blocked, ev, "event-wait");
-  }
-  ~watchdog_blocked_scope() { watchdog_note_wait_end(); }
-};
-
-// kprof: samples of a suspended thread attribute to the event it sleeps
-// on — UNLESS an outer instrumentation point already attributed the wait
-// (a complex-lock sleep publishes lock_waiting before blocking; naming
-// the lock beats naming the lock's event address).
-struct kprof_blocked_scope {
-  kprof::activity_word prev;
-  explicit kprof_blocked_scope(const void* ev) : prev(kprof::self_word()) {
-    if (kprof::unpack_state(prev) != kprof::activity::lock_waiting) {
-      kprof::publish(kprof::activity::blocked, ev);
-    }
-  }
-  ~kprof_blocked_scope() { kprof::publish_word(prev); }
-};
 
 }  // namespace
 
@@ -179,7 +155,7 @@ struct event_system {
     // Trace the blocked interval (from here to wakeup consumption); a
     // short-circuited block shows as a ~0-length span, which is itself
     // informative (the paper's non-blocking context switch).
-    const std::uint64_t t_block = (ktrace::enabled() || kmon::enabled()) ? now_nanos() : 0;
+    const std::uint64_t t_block = debug_planes_on(plane_ktrace | plane_kmon) ? now_nanos() : 0;
     const event_t e = t.wait_event_.load();
     const auto traced_event = reinterpret_cast<std::uint64_t>(e);
     auto traced = [&](wait_result r) {
@@ -207,8 +183,9 @@ struct event_system {
       kmet().sched_blocks_short_circuited.inc();
       return traced(consume_locked(t));
     }
-    const watchdog_blocked_scope wd_scope(e);
-    const kprof_blocked_scope prof_scope(e);
+    // "This thread is suspended", to kprof and the stall watchdog; the dtor
+    // covers every return path out of block(), timeouts included.
+    const wait_scope blocked(kprof::activity::blocked, e, "event-wait", stall_kind::thread_blocked);
     const auto start = std::chrono::steady_clock::now();
     std::chrono::nanoseconds spin_limit = t.spin_budget_;
     if (timeout != nullptr) spin_limit = std::min<std::chrono::nanoseconds>(spin_limit, *timeout);

@@ -1,7 +1,6 @@
 #include "svc/machcached.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -27,7 +26,9 @@ void mc_item::on_last_reference() { vz_.free(block_); }
 // --- mc_cache ---
 
 struct mc_cache::shard {
-  lock_data_t lock;
+  // One shared name: the lockstat contention table aggregates by name,
+  // so all stripes of the item table report as a single row.
+  lock_data_t lock{"mc-shard"};
   std::unordered_map<std::uint64_t, ref_ptr<mc_item>> map;
 };
 
@@ -41,13 +42,6 @@ std::size_t round_up_pow2(std::size_t n) {
 
 }  // namespace
 
-int mc_shards_from_env(int def) {
-  const char* v = std::getenv("MACHLOCK_CACHE_SHARDS");
-  if (v == nullptr || v[0] == '\0') return def;
-  long n = std::strtol(v, nullptr, 10);
-  return static_cast<int>(std::clamp(n, 1L, 1024L));
-}
-
 mc_cache::mc_cache(const mc_cache_config& cfg)
     : cfg_(cfg),
       vzone_("mc-items", std::max<std::size_t>(cfg.value_words, 1) * sizeof(std::uint64_t),
@@ -56,11 +50,7 @@ mc_cache::mc_cache(const mc_cache_config& cfg)
       round_up_pow2(static_cast<std::size_t>(std::clamp(cfg.shards, 1, 1024)));
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto s = std::make_unique<shard>();
-    // One shared name: the lockstat contention table aggregates by name,
-    // so all stripes of the item table report as a single row.
-    lock_init(&s->lock, /*can_sleep=*/true, "mc-shard");
-    shards_.push_back(std::move(s));
+    shards_.push_back(std::make_unique<shard>());
   }
 }
 

@@ -14,7 +14,7 @@
 //     through it;
 //   * the item table is guarded by complex locks (Appendix B): GET takes
 //     a read hold, SET/DELETE a write hold, optionally striped across
-//     shards (MACHLOCK_CACHE_SHARDS) so the lock-granularity story of
+//     shards (mc_cache_config::shards) so the lock-granularity story of
 //     section 2 is measurable against served traffic;
 //   * client "connections" arrive as IPC messages on a service port
 //     (section 3); a pool of worker kthreads — optionally bound to
@@ -74,9 +74,8 @@ class mc_item final : public kobject {
 // --- the shared key→object cache ---
 
 struct mc_cache_config {
-  // Item-table stripe count (rounded up to a power of two). 1 reproduces
-  // the paper's single complex-lock table; mc_shards_from_env() applies
-  // the MACHLOCK_CACHE_SHARDS override.
+  // Item-table stripe count (rounded up to a power of two, at most 1024).
+  // 1 reproduces the paper's single complex-lock table.
   int shards = 1;
   // Zone capacity: resident item ceiling (SET fails with
   // KERN_RESOURCE_SHORTAGE once the zone is exhausted — zalloc
@@ -137,9 +136,6 @@ class mc_cache {
   // cache lines other threads write. stats().gets is hits + misses.
   event_counter hits_, misses_, sets_, set_failures_, deletes_, delete_misses_;
 };
-
-// Reads MACHLOCK_CACHE_SHARDS (default `def`), clamped to [1, 1024].
-int mc_shards_from_env(int def = 1);
 
 // --- the service (workers on virtual processors, IPC in front) ---
 

@@ -1,5 +1,7 @@
 #include "sync/complex_lock.h"
 
+#include <optional>
+
 #include "base/backoff.h"
 #include "base/panic.h"
 #include "metrics/watchdog.h"
@@ -42,30 +44,7 @@ inline void holder_release(lock_t l, std::uint32_t flag, std::uint32_t readers_a
   l->state.store((l->state.load() & ~flag) + readers_added, std::memory_order_release);
 }
 
-// --- hold/wait-time profiling (ktrace-gated; interlock held) ---
-
-// Stamp the start of a wait the first time a wait loop iterates.
-inline std::uint64_t wait_stamp(std::uint64_t current) {
-  if (current != 0) return current;
-  return ktrace::enabled() ? now_nanos() : 0;
-}
-
-// Annotate the active request span (if any) with the complex lock the
-// caller is about to wait on and the write holder blocking it (null when
-// the lock is held by readers). Interlock held; emit does not block.
-inline void span_note_wait(lock_t l) {
-  kspan::note_blocked(l->name, l, l->write_holder);
-}
-
-// Close a wait span opened by wait_stamp: feed the per-lock histogram and
-// emit the trace record. `kind` distinguishes read/write/upgrade waits.
-inline void wait_finish(lock_t l, std::uint64_t start, trace_kind kind) {
-  if (start == 0 || !ktrace::enabled()) return;
-  const std::uint64_t end = now_nanos();
-  const std::uint64_t wait = end - start;
-  lock_profile_of(l->profile).wait.record(wait);
-  ktrace::emit_span(kind, l->name, reinterpret_cast<std::uint64_t>(l), wait, end);
-}
+// --- hold-time profiling (ktrace-gated; interlock held) ---
 
 // Begin / end write-side hold timing (upgrade holds included). Recursive
 // nested acquisitions keep the outermost stamp.
@@ -87,13 +66,7 @@ inline void hold_finish(lock_t l) {
 // Sleep mode blocks through the event system (the lock's own address is
 // the event, as in Mach's kern/lock.c); spin mode releases the interlock,
 // backs off, and reacquires.
-void lock_wait(lock_t l, backoff& bo, bool force_sleep = false) {
-  // kprof: the whole wait — sleeping through the event system or spinning
-  // in backoff — samples as waiting on THIS lock. The inner thread_block
-  // and interlock spins save/restore around their own publishes, so the
-  // attribution survives nesting.
-  const kprof::activity_word prev_activity = kprof::self_word();
-  kprof::publish(kprof::activity::lock_waiting, l->name);
+void lock_wait(lock_t l, backoff& bo, bool force_sleep) {
   if (l->can_sleep || force_sleep) {
     l->waiting = true;
     holder_increment(l->stats.sleeps);
@@ -107,7 +80,6 @@ void lock_wait(lock_t l, backoff& bo, bool force_sleep = false) {
     bo.pause();
     simple_lock(&l->interlock);
   }
-  kprof::publish_word(prev_activity);
 }
 
 // Interlock held. Wake anyone blocked on the lock after a state change
@@ -120,6 +92,49 @@ void lock_wakeup(lock_t l) {
     thread_wakeup(l);
   }
 }
+
+// One complex-lock wait, from the first time a wait loop iterates to its
+// exit: the ktrace wait span and per-lock wait histogram, the request-span
+// annotation, the wait-graph edge, and the thread's kprof slot — the whole
+// wait, sleeping or spinning, samples as waiting on THIS lock, and a
+// writer's or upgrader's wait is the watchdog's record. Interlock held,
+// except inside lock_wait.
+class lock_waiter {
+ public:
+  lock_waiter(lock_t l, const void* me, stall_kind k) : l_(l), me_(me), kind_(k) {}
+
+  // Wait once for the lock state to change.
+  void wait(bool force_sleep = false) {
+    if (!scope_) {
+      start_ = ktrace::enabled() ? now_nanos() : 0;
+      // The write holder blocking us is null when readers hold the lock.
+      kspan::note_blocked(l_->name, l_, l_->write_holder);
+      wait_graph::instance().thread_waits(me_, l_, l_->name);
+      scope_.emplace(kprof::activity::lock_waiting, l_, l_->name, kind_);
+    }
+    lock_wait(l_, bo_, force_sleep);
+  }
+
+  // End the wait, if one began, before the caller publishes its hold.
+  // `kind` distinguishes read/write/upgrade waits in the trace.
+  void finish(trace_kind kind) {
+    if (!scope_) return;
+    scope_.reset();
+    wait_graph::instance().thread_wait_done(me_, l_);
+    if (start_ == 0 || !ktrace::enabled()) return;
+    const std::uint64_t end = now_nanos();
+    lock_profile_of(l_->profile).wait.record(end - start_);
+    ktrace::emit_span(kind, l_->name, reinterpret_cast<std::uint64_t>(l_), end - start_, end);
+  }
+
+ private:
+  lock_t l_;
+  const void* me_;
+  stall_kind kind_;
+  backoff bo_;
+  std::uint64_t start_ = 0;
+  std::optional<wait_scope> scope_;
+};
 
 // Interlock held. Keep kSlowReaders in step with the two options whose
 // reader rules only the interlock path implements.
@@ -242,22 +257,9 @@ void lock_read(lock_t l) {
     simple_unlock(&l->interlock);
     return;
   }
-  bool waited = false;
-  std::uint64_t wait_start = 0;
-  backoff bo;
-  while (reader_must_wait(l)) {
-    if (!waited) {
-      waited = true;
-      wait_start = wait_stamp(wait_start);
-      span_note_wait(l);
-      wait_graph::instance().thread_waits(me, l, l->name);
-    }
-    lock_wait(l, bo);
-  }
-  if (waited) {
-    wait_graph::instance().thread_wait_done(me, l);
-    wait_finish(l, wait_start, trace_kind::complex_read_wait);
-  }
+  lock_waiter w(l, me, stall_kind::none);
+  while (reader_must_wait(l)) w.wait();
+  w.finish(trace_kind::complex_read_wait);
   l->state.fetch_add(1);
   holder_increment(l->stats.read_acquisitions);
   note_read_held(l, me);
@@ -279,38 +281,17 @@ void lock_write(lock_t l) {
     simple_unlock(&l->interlock);
     panic(std::string("recursive write acquisition after downgrade on ") + l->name);
   }
-  bool waited = false;
-  std::uint64_t wait_start = 0;
-  backoff bo;
-  auto note_wait = [&] {
-    if (!waited) {
-      waited = true;
-      wait_start = wait_stamp(wait_start);
-      span_note_wait(l);
-      wait_graph::instance().thread_waits(me, l, l->name);
-      watchdog_note_wait_begin(stall_kind::writer_wait, l, l->name);
-    }
-  };
+  lock_waiter w(l, me, stall_kind::writer_wait);
   // Wait our turn behind other writers/upgraders...
-  while (any_set(l, kWant)) {
-    note_wait();
-    lock_wait(l, bo);
-  }
+  while (any_set(l, kWant)) w.wait();
   // Commits us: no new readers may be added. The flag is set before the
   // count is read, which is what lets the last fast-path reader out skip
   // the interlock unless a wakeup is owed.
   l->state.fetch_or(kWantWrite);
   // ...then drain existing readers, yielding to upgrades (upgrades are
   // favored over writes to avoid deadlocking a reader that must upgrade).
-  while (read_count(l) > 0 || any_set(l, kWantUpgrade)) {
-    note_wait();
-    lock_wait(l, bo);
-  }
-  if (waited) {
-    watchdog_note_wait_end();
-    wait_graph::instance().thread_wait_done(me, l);
-    wait_finish(l, wait_start, trace_kind::complex_write_wait);
-  }
+  while (read_count(l) > 0 || any_set(l, kWantUpgrade)) w.wait();
+  w.finish(trace_kind::complex_write_wait);
   l->write_holder = me;
   holder_increment(l->stats.write_acquisitions);
   hold_begin(l);
@@ -338,23 +319,9 @@ bool lock_read_to_write(lock_t l) {
     return true;  // TRUE = upgrade failed
   }
   claim_upgrade(l);
-  bool waited = false;
-  std::uint64_t wait_start = 0;
-  backoff bo;
-  while (read_count(l) > 0) {
-    if (!waited) {
-      waited = true;
-      wait_start = wait_stamp(wait_start);
-      span_note_wait(l);
-      wait_graph::instance().thread_waits(me, l, l->name);
-    }
-    lock_wait(l, bo);
-  }
-  if (waited) {
-    watchdog_note_wait_end();
-    wait_graph::instance().thread_wait_done(me, l);
-    wait_finish(l, wait_start, trace_kind::complex_upgrade_wait);
-  }
+  lock_waiter w(l, me, stall_kind::writer_wait);
+  while (read_count(l) > 0) w.wait();
+  w.finish(trace_kind::complex_upgrade_wait);
   l->write_holder = me;
   holder_increment(l->stats.upgrades_succeeded);
   hold_begin(l);
@@ -476,26 +443,11 @@ bool lock_try_read_to_write(lock_t l) {
     return false;
   }
   claim_upgrade(l);
-  bool waited = false;
-  std::uint64_t wait_start = 0;
-  backoff bo;
-  while (read_count(l) > 0) {
-    if (!waited) {
-      waited = true;
-      wait_start = wait_stamp(wait_start);
-      span_note_wait(l);
-      wait_graph::instance().thread_waits(me, l, l->name);
-      watchdog_note_wait_begin(stall_kind::writer_wait, l, l->name);
-    }
-    // Appendix B.3: Mach 2.5's implementation blocked here even with the
-    // Sleep option disabled; reproduce that when the compat knob is set.
-    lock_wait(l, bo, /*force_sleep=*/l->mach25_try_upgrade_bug);
-  }
-  if (waited) {
-    watchdog_note_wait_end();
-    wait_graph::instance().thread_wait_done(me, l);
-    wait_finish(l, wait_start, trace_kind::complex_upgrade_wait);
-  }
+  lock_waiter w(l, me, stall_kind::writer_wait);
+  // Appendix B.3: Mach 2.5's implementation blocked here even with the
+  // Sleep option disabled; reproduce that when the compat knob is set.
+  while (read_count(l) > 0) w.wait(/*force_sleep=*/l->mach25_try_upgrade_bug);
+  w.finish(trace_kind::complex_upgrade_wait);
   l->write_holder = me;
   holder_increment(l->stats.upgrades_succeeded);
   hold_begin(l);

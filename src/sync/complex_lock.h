@@ -117,6 +117,13 @@ struct lock_data_t {
   std::atomic<std::uint64_t> fast_reads{0};  // read acquisitions that skipped the interlock
 
   lock_data_t() { lock_registry::instance().add(this); }
+  // Named from the start, interlock included: lock_init renames a lock
+  // the registry already lists, racing lockstat snapshots that read the
+  // name, so a lock built while snapshots may run takes its name here.
+  explicit lock_data_t(const char* n, bool sleep = true)
+      : interlock(n, /*track=*/false), can_sleep(sleep), name(n) {
+    lock_registry::instance().add(this);
+  }
   ~lock_data_t() {
     lock_registry::instance().remove(this);  // no snapshot reads the profile after this
     delete profile.load(std::memory_order_acquire);

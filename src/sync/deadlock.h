@@ -8,15 +8,16 @@
 // tracing is enabled) and finds cycles on demand, so the experiments can
 // *detect and report* the deadlocks the paper describes instead of hanging.
 //
-// Tracing is off by default and costs one relaxed atomic load per lock
-// operation when off. Resources are keyed by address; names are for
-// reporting only.
+// Tracing is off by default and costs one relaxed load of the debug-plane
+// gate (base/debug_planes.h) per lock operation when off. Resources are
+// keyed by address; names are for reporting only.
 #pragma once
 
-#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "base/debug_planes.h"
 
 namespace mach {
 
@@ -47,8 +48,8 @@ class wait_graph {
     return g;
   }
 
-  void set_enabled(bool on) noexcept { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const noexcept { return enabled_.load(std::memory_order_relaxed); }
+  void set_enabled(bool on) noexcept { set_debug_plane(plane_wait_graph, on); }
+  bool enabled() const noexcept { return debug_planes_on(plane_wait_graph); }
 
   // Give the current thread a report-friendly name.
   void name_thread(const void* thread, std::string name);
@@ -96,11 +97,12 @@ class wait_graph {
 
  private:
   wait_graph() = default;
-  void add_wait(const void* thread, const void* resource, const char* resource_name);
-  void remove_wait(const void* thread, const void* resource);
-  void add_hold(const void* resource, const void* thread, const char* resource_name);
-  void remove_hold(const void* resource, const void* thread);
-  std::atomic<bool> enabled_{false};
+  [[gnu::cold]] void add_wait(const void* thread, const void* resource,
+                              const char* resource_name);
+  [[gnu::cold]] void remove_wait(const void* thread, const void* resource);
+  [[gnu::cold]] void add_hold(const void* resource, const void* thread,
+                              const char* resource_name);
+  [[gnu::cold]] void remove_hold(const void* resource, const void* thread);
   impl& self() const;
 };
 

@@ -96,8 +96,12 @@ namespace detail {
 
 // Cold halves of the tracing instrumentation, kept out of line so the
 // always-inlined lock/unlock fast paths stay compact when tracing is off.
-[[gnu::noinline, gnu::cold]] inline void begin_timed_hold(simple_lock_data_t* l) {
-  l->acquire_nanos = now_nanos();
+// note_acquired_traced: a tracked lock was taken while ktrace or the wait
+// graph is on.
+[[gnu::noinline, gnu::cold]] inline void note_acquired_traced(simple_lock_data_t* l,
+                                                             const void* me) {
+  if (ktrace::enabled()) l->acquire_nanos = now_nanos();
+  wait_graph::instance().resource_held(l, me, l->name);
 }
 
 [[gnu::noinline, gnu::cold]] inline void finish_timed_hold(simple_lock_data_t* l) {
@@ -114,13 +118,15 @@ namespace detail {
 inline void note_acquired(simple_lock_data_t* l, const void* me) {
   l->holder.store(me, std::memory_order_relaxed);
   holder_increment(l->stat_acquisitions);
-  // Hold-time profiling only while tracing: the enabled() check is one
-  // relaxed load, so the disabled fast path stays clock-free.
+  // Hold-time profiling and wait-graph edges only while those planes are
+  // on: one relaxed load of the gate, so the disabled fast path stays
+  // clock-free.
   l->acquire_nanos = 0;
-  if (l->tracked && ktrace::enabled()) [[unlikely]] begin_timed_hold(l);
   if (l->tracked) {
     ++held_tracked_simple_locks();
-    wait_graph::instance().resource_held(l, me, l->name);
+    if (debug_planes_on(plane_ktrace | plane_wait_graph)) [[unlikely]] {
+      note_acquired_traced(l, me);
+    }
   }
 }
 
@@ -147,14 +153,12 @@ inline void simple_lock(simple_lock_data_t* l, spin_stats* stats = nullptr) {
       kspan::note_blocked(l->name, l, l->holder.load(std::memory_order_relaxed));
     }
     wait_graph::instance().thread_waits(me, l, l->name);
-    watchdog_note_wait_begin(stall_kind::simple_spin, l, l->name);
-    // kprof: attribute the spin, then restore whatever the thread was
-    // doing before (e.g. a complex-lock wait spinning on the interlock).
-    const kprof::activity_word prev_activity = kprof::self_word();
-    kprof::publish(kprof::activity::spinning, l->name);
-    spin_acquire(l->word, l->policy, stats);
-    kprof::publish_word(prev_activity);
-    watchdog_note_wait_end();
+    {
+      // Attribute the spin, then restore whatever the thread was doing
+      // before (e.g. a complex-lock wait spinning on the interlock).
+      const wait_scope spin(kprof::activity::spinning, l, l->name, stall_kind::simple_spin);
+      spin_acquire(l->word, l->policy, stats);
+    }
     wait_graph::instance().thread_wait_done(me, l);
   }
   detail::note_acquired(l, me);

@@ -48,7 +48,6 @@ inline constexpr std::uint32_t span_span_id(span_ctx_t c) noexcept {
 namespace kspan {
 
 namespace detail {
-extern std::atomic<bool> g_enabled;
 // The calling thread's active context; read by ktrace::detail::emit_slow to
 // stamp every record, and by the watchdog wait hooks to name the stalled
 // request. Written only by the owning thread (scope ctors/dtors). constinit
@@ -67,9 +66,9 @@ void end_scope(const char* kind, span_ctx_t ctx, std::uint64_t start_nanos,
 }  // namespace detail
 
 // The global switch. One relaxed load, same contract as ktrace::enabled().
-inline bool enabled() noexcept { return detail::g_enabled.load(std::memory_order_relaxed); }
-void enable() noexcept;
-void disable() noexcept;
+inline bool enabled() noexcept { return debug_planes_on(plane_kspan); }
+inline void enable() noexcept { set_debug_plane(plane_kspan, true); }
+inline void disable() noexcept { set_debug_plane(plane_kspan, false); }
 
 // The calling thread's active context (0 when none / spans disabled).
 inline span_ctx_t current() noexcept { return detail::tl_ctx; }

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "base/debug_planes.h"
 #include "base/stats.h"
 
 namespace mach {
@@ -121,7 +122,6 @@ bool trace_kind_is_span(trace_kind k) noexcept;
 namespace ktrace {
 
 namespace detail {
-extern std::atomic<bool> g_enabled;
 // Appends to the calling thread's ring, creating it on first use.
 void emit_slow(trace_kind kind, const char* name, std::uint64_t arg1, std::uint64_t arg2,
                std::uint64_t nanos) noexcept;
@@ -129,9 +129,9 @@ void emit_slow(trace_kind kind, const char* name, std::uint64_t arg1, std::uint6
 
 // The global switch. enabled() is the tracepoint fast path: keep it to a
 // single relaxed load so disabled tracing stays near-free.
-inline bool enabled() noexcept { return detail::g_enabled.load(std::memory_order_relaxed); }
-void enable() noexcept;
-void disable() noexcept;
+inline bool enabled() noexcept { return debug_planes_on(plane_ktrace); }
+inline void enable() noexcept { set_debug_plane(plane_ktrace, true); }
+inline void disable() noexcept { set_debug_plane(plane_ktrace, false); }
 
 // Record an instant event, stamped now. No-op when disabled.
 inline void emit(trace_kind kind, const char* name = nullptr, std::uint64_t arg1 = 0,

@@ -83,12 +83,6 @@ pv_table::bucket& pv_table::bucket_for(std::uint64_t pa) {
   return *buckets_[(pa >> vm_page_shift) & mask_];
 }
 
-pmap_system::pmap_system() {
-  // Spin mode: pmap code runs at raised spl and may be reached from the
-  // fault path; it never blocks.
-  lock_init(&system_lock_, /*can_sleep=*/false, "pmap-system-lock");
-}
-
 void pmap_system::pmap_enter(pmap& map, std::uint64_t va, std::uint64_t pa) {
   // Usual order: system(read) → pmap → pv.
   lock_read(&system_lock_);

@@ -104,8 +104,6 @@ struct pmap_op_stats {
 // order-conflict resolutions.
 class pmap_system {
  public:
-  pmap_system();
-
   // pmap → pv direction (the usual order): install va→pa in `map` and
   // record the inverted mapping. System lock for read.
   void pmap_enter(pmap& map, std::uint64_t va, std::uint64_t pa);
@@ -124,7 +122,9 @@ class pmap_system {
   pv_table& pv() { return pv_; }
 
  private:
-  lock_data_t system_lock_;  // readers/writers, spin (pmap code cannot sleep)
+  // Readers/writers, in spin mode: pmap code runs at raised spl and may be
+  // reached from the fault path; it never blocks.
+  lock_data_t system_lock_{"pmap-system-lock", /*sleep=*/false};
   pv_table pv_;
   simple_lock_data_t stats_lock_{"pmap-stats", /*track=*/false};
   pmap_op_stats stats_;

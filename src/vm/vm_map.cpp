@@ -4,10 +4,6 @@
 
 namespace mach {
 
-vm_map::vm_map(const char* name) : kobject(name) {
-  lock_init(&lock_data_, /*can_sleep=*/true, "vm-map-lock");
-}
-
 kern_return_t vm_map::enter(ref_ptr<memory_object> obj, std::uint64_t obj_offset,
                             std::uint64_t size, std::uint64_t* out_addr) {
   if (size == 0 || (size & (vm_page_size - 1)) != 0 ||

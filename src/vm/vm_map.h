@@ -35,7 +35,7 @@ struct vm_map_entry {
 
 class vm_map final : public kobject {
  public:
-  explicit vm_map(const char* name = "vm-map");
+  explicit vm_map(const char* name = "vm-map") : kobject(name) {}
 
   // The map's complex lock (Sleep option on). Exposed because the VM
   // routines of the paper manipulate it directly (read faults, write
@@ -65,7 +65,7 @@ class vm_map final : public kobject {
   friend kern_return_t vm_map_pageable_legacy(vm_map&, std::uint64_t, std::uint64_t, bool);
   friend kern_return_t vm_map_pageable(vm_map&, std::uint64_t, std::uint64_t, bool);
 
-  lock_data_t lock_data_;
+  lock_data_t lock_data_{"vm-map-lock"};
   std::vector<vm_map_entry> entries_;  // sorted by start, non-overlapping
   std::uint64_t next_alloc_ = vm_page_size;
 };

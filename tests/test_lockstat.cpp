@@ -3,15 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <string>
+#include <thread>
 
 #include "harness/mini_json.h"
 #include "sched/kthread.h"
+#include "svc/machcached.h"
 #include "sync/complex_lock.h"
 #include "sync/lockstat.h"
 #include "sync/simple_lock.h"
 #include "tests/test_util.h"
 #include "trace/ktrace.h"
+#include "vm/pmap.h"
+#include "vm/vm_map.h"
 
 namespace mach {
 namespace {
@@ -120,6 +125,47 @@ TEST(Lockstat, SnapshotTieBreaksByNameThenAddress) {
 TEST(Lockstat, PrintTopDoesNotExplode) {
   // Smoke: the report renders with whatever is live (captured by ctest).
   lock_registry::instance().print_top(5);
+}
+
+// Locks built while a snapshot loop runs are listed under their own names
+// from registration on. A lock_init after the constructor renames a lock
+// the registry already lists: a snapshot in between reads the default
+// name, and the rename races the snapshot's read (ThreadSanitizer reports
+// it). Covers the mc_cache shards, vm_map and the pmap system lock.
+TEST(Lockstat, LocksBuiltDuringSnapshotsNeverReadTheDefaultName) {
+  std::atomic<bool> stop{false};
+  std::atomic<int> snapshots{0};
+  std::atomic<int> defaults{0};
+  std::thread snapper([&] {
+    while (!stop.load()) {
+      for (const lock_stat_entry& e : lock_registry::instance().snapshot()) {
+        if (std::strcmp(e.name, "complex-lock") == 0 ||
+            std::strcmp(e.name, "complex-interlock") == 0) {
+          defaults.fetch_add(1);
+        }
+      }
+      snapshots.fetch_add(1);
+    }
+  });
+  while (snapshots.load() < 2) std::this_thread::yield();
+  const int before = snapshots.load();
+  {
+    mc_cache_config cfg;
+    cfg.shards = 1024;
+    mc_cache cache(cfg);
+    EXPECT_EQ(cache.shards(), 1024);
+    ref_ptr<vm_map> map = make_object<vm_map>();
+    pmap_system pmaps;
+    while (snapshots.load() < before + 2) std::this_thread::yield();
+    EXPECT_EQ(find_entry(&map->map_lock(), /*is_complex=*/true).name,
+              std::string("vm-map-lock"));
+    EXPECT_EQ(find_entry(&pmaps.system_lock(), /*is_complex=*/true).name,
+              std::string("pmap-system-lock"));
+    EXPECT_EQ(find_entry(&pmaps.system_lock()).name, std::string("pmap-system-lock"));
+  }
+  stop.store(true);
+  snapper.join();
+  EXPECT_EQ(defaults.load(), 0);
 }
 
 // --- lock profiles: allocated on the first timed hold or wait ---

@@ -97,15 +97,6 @@ TEST(McCache, ShardCountRoundsUpToPowerOfTwo) {
   EXPECT_EQ(mc_cache(small_cache(16)).shards(), 16);
 }
 
-TEST(McCache, ShardsFromEnv) {
-  ::setenv("MACHLOCK_CACHE_SHARDS", "9", 1);
-  EXPECT_EQ(mc_shards_from_env(1), 9);
-  ::setenv("MACHLOCK_CACHE_SHARDS", "100000", 1);
-  EXPECT_EQ(mc_shards_from_env(1), 1024);  // clamped
-  ::unsetenv("MACHLOCK_CACHE_SHARDS");
-  EXPECT_EQ(mc_shards_from_env(3), 3);
-}
-
 TEST(McCache, QuiesceInvariantDetectsOutstandingReference) {
   mc_cache cache(small_cache(4));
   const std::uint64_t v[1] = {5};

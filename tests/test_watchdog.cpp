@@ -174,6 +174,44 @@ TEST(Watchdog, TripsOnStarvedWriter) {
   writer->join();
 }
 
+// An upgrader draining readers is a writer wait too: one reader holds
+// while a second reader upgrades.
+TEST(Watchdog, TripsOnStarvedUpgrader) {
+  watchdog_config cfg;
+  cfg.poll = 5ms;
+  cfg.spin_deadline = 10s;
+  cfg.block_deadline = 10s;
+  cfg.writer_deadline = 50ms;
+  trip_collector trips(cfg);
+
+  lock_data_t l{"upgrade-starver-lock"};
+  std::atomic<bool> reading{false};
+  std::atomic<bool> release{false};
+  auto reader = kthread::spawn("holding-reader", [&] {
+    lock_read(&l);
+    reading.store(true);
+    while (!release.load()) std::this_thread::sleep_for(1ms);
+    lock_done(&l);
+  });
+  while (!reading.load()) std::this_thread::yield();
+
+  std::atomic<bool> upgraded{false};
+  auto upgrader = kthread::spawn("starved-upgrader", [&] {
+    lock_read(&l);
+    upgraded.store(!lock_read_to_write(&l));  // false = the upgrade succeeded
+    lock_done(&l);
+  });
+
+  const std::string report = trips.wait_for_trip(2000ms);
+  release.store(true);
+  reader->join();
+  upgrader->join();
+  EXPECT_TRUE(upgraded.load());
+  ASSERT_FALSE(report.empty()) << "watchdog did not trip on a starved upgrader";
+  EXPECT_NE(report.find("starved complex-lock writer"), std::string::npos) << report;
+  EXPECT_NE(report.find("upgrade-starver-lock"), std::string::npos) << report;
+}
+
 TEST(Watchdog, HealthyContentionDoesNotTrip) {
   watchdog_config cfg;
   cfg.poll = 5ms;
