@@ -1,9 +1,9 @@
 // E13 — Primitive operation costs (Appendices A and B).
 //
 // google-benchmark microbenchmarks of every locking primitive the paper's
-// appendices document, uncontended (plus one shared-lock read row at 1, 2
-// and 4 threads, a two-thread wakeup/park round trip, and two bare-atomic
-// floor rows): the baseline costs every design discussion in the paper
+// appendices document, uncontended (plus a shared-lock read row and a
+// shared-object clone/release row at 1, 2 and 4 threads, a two-thread
+// wakeup/park round trip, and two bare-atomic floor rows): the baseline costs every design discussion in the paper
 // builds on (e.g. why the simple lock is "a C integer", and what a complex
 // lock's read side costs with and without the interlock).
 #include <benchmark/benchmark.h>
@@ -84,8 +84,9 @@ void BM_ComplexRead(benchmark::State& state) {
 BENCHMARK(BM_ComplexRead)->Arg(0)->Arg(1);  // spin / sleep option
 
 // The read side under concurrency: every benchmark thread reads one shared
-// lock. A flag-free reader enters and leaves by one CAS on the lock's state
-// word, so this row tracks that word's cache line moving between cores.
+// lock. A flag-free reader enters and leaves by one fetch_add on its own
+// reader way's line and only loads the shared state word, so CPU per op at
+// 4 threads should stay near 1 thread's.
 void BM_ComplexReadShared(benchmark::State& state) {
   static lock_data_t l;
   // Threads start the timed loop together, after thread 0's init.
@@ -144,6 +145,26 @@ void BM_RefCloneRelease(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RefCloneRelease);
+
+// The refcount under concurrency: every benchmark thread clones and
+// releases one shared kobject, as kcache-hot's GETs do on a hot item. The
+// count is one atomic word, so this row tracks its line moving between
+// cores.
+void BM_RefCloneReleaseShared(benchmark::State& state) {
+  struct plain : kobject {
+    plain() : kobject("bm-shared") {}
+  };
+  static plain* obj = nullptr;
+  // Threads start the timed loop together, after thread 0's setup, and
+  // thread 0 releases the object after they all leave it.
+  if (state.thread_index() == 0) obj = new plain;
+  for (auto _ : state) {
+    obj->ref_clone();
+    obj->ref_release();
+  }
+  if (state.thread_index() == 0) obj->ref_release();
+}
+BENCHMARK(BM_RefCloneReleaseShared)->Threads(1)->Threads(2)->Threads(4);
 
 void BM_EventShortCircuit(benchmark::State& state) {
   int event = 0;

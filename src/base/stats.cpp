@@ -11,9 +11,27 @@ namespace detail {
 
 constinit thread_local unsigned t_way = 0;
 
+namespace {
+
+// Live threads per way. A thread holds its way until it exits, so threads
+// that come and go hand their ways back instead of wrapping round onto the
+// ways of threads still running.
+std::atomic<unsigned> g_live[num_ways];
+
+struct way_lease {
+  unsigned way;
+  ~way_lease() { g_live[way].fetch_sub(1, std::memory_order_relaxed); }
+};
+
+}  // namespace
+
 unsigned claim_way() noexcept {
-  static std::atomic<unsigned> next{0};
-  const unsigned w = next.fetch_add(1, std::memory_order_relaxed) % num_ways;
+  unsigned w = 0;
+  for (unsigned i = 1; i < num_ways; ++i) {
+    if (g_live[i].load(std::memory_order_relaxed) < g_live[w].load(std::memory_order_relaxed)) w = i;
+  }
+  g_live[w].fetch_add(1, std::memory_order_relaxed);
+  thread_local way_lease lease{w};
   t_way = w + 1;
   return w;
 }

@@ -22,9 +22,10 @@ extern constinit thread_local unsigned t_way;
 unsigned claim_way() noexcept;
 }  // namespace detail
 
-// The calling thread's way in [0, num_ways), assigned round-robin at first
-// use: cheap, stable per thread, and it spreads concurrent writers across
-// ways even when thread ids are clustered.
+// The calling thread's way in [0, num_ways), assigned at first use to the
+// way the fewest live threads hold: cheap, stable per thread, and it keeps
+// up to num_ways concurrent threads on distinct ways, however many threads
+// came and went before them.
 inline unsigned way_index() noexcept {
   const unsigned w = detail::t_way;
   return w != 0 ? w - 1 : detail::claim_way();

@@ -26,13 +26,13 @@ void interrupt_barrier::isr(virtual_cpu& cpu) {
   // completes, every participant that entered has already applied its
   // updates (it is parked in the ISR and cannot use stale state anyway).
   if (on_interrupt_) on_interrupt_(cpu);
-  if (round_active_.load() && (needed_.load() & bit) != 0 &&
+  if (phase_.load() == phase_armed && (needed_.load() & bit) != 0 &&
       (entered_.load() & bit) == 0) {
     entered_.fetch_or(bit);
     kmet().smp_barrier_isr_parks.inc();
-    // generation_ is written before round_active_ at round start, so
-    // having observed round_active_ == true we read our own round's
-    // generation (or a later one, in which case our round is over).
+    // generation_ is written before phase_ arms the round, so having
+    // observed an armed round we read our own round's generation (or a
+    // later one, in which case our round is over).
     const std::uint64_t my_round = generation_.load();
     // Spin *inside the ISR* until the initiator releases — the barrier
     // property: nobody leaves before everybody (that must) has entered.
@@ -46,7 +46,12 @@ void interrupt_barrier::isr(virtual_cpu& cpu) {
     wait_graph::instance().thread_waits(me, &release_slot_,
                                         "barrier-release");
     backoff bo;
-    while (generation_.load() == my_round && !released_.load() && !aborted_.load()) {
+    // Leave on the release or the abort. If the round was aborted after
+    // our entry, the initiator's commit CAS fails, so no update runs
+    // after we have left.
+    for (;;) {
+      const std::uint8_t p = phase_.load();
+      if (generation_.load() != my_round || (p != phase_armed && p != phase_committing)) break;
       bo.pause();
     }
     wait_graph::instance().thread_wait_done(me, &release_slot_);
@@ -98,10 +103,8 @@ interrupt_barrier::status interrupt_barrier::run(std::uint32_t participant_mask,
   }
   generation_.fetch_add(1);  // unwedges stragglers from the previous round
   entered_.store(0);
-  released_.store(false);
-  aborted_.store(false);
   needed_.store(others);
-  round_active_.store(true);
+  phase_.store(phase_armed);
 
   auto untrack = [&](std::uint32_t bits) {
     for (int i = 0; i < m.ncpus(); ++i) {
@@ -123,19 +126,25 @@ interrupt_barrier::status interrupt_barrier::run(std::uint32_t participant_mask,
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   backoff bo;
   std::uint32_t seen = 0;
-  while ((entered_.load() & others) != others) {
-    const std::uint32_t now_in = entered_.load() & others & ~seen & tracked;
+  // Whichever CAS ends the armed phase first decides the round: our
+  // commit, or an abort (external, or our own at the deadline).
+  for (;;) {
+    const std::uint32_t in = entered_.load() & others;
+    const std::uint32_t now_in = in & ~seen & tracked;
     if (now_in != 0) {
       untrack(now_in);
       seen |= now_in;
     }
-    if (aborted_.load()) {
+    if (in == others) {
+      if (!end_armed(phase_committing)) result = status::aborted;
+      break;
+    }
+    if (phase_.load() == phase_aborted) {
       result = status::aborted;
       break;
     }
     if (std::chrono::steady_clock::now() >= deadline) {
-      aborted_.store(true);
-      result = status::timed_out;
+      result = end_armed(phase_aborted) ? status::timed_out : status::aborted;
       break;
     }
     machine::interrupt_point();  // still accept higher-priority interrupts
@@ -145,7 +154,7 @@ interrupt_barrier::status interrupt_barrier::run(std::uint32_t participant_mask,
 
   if (result == status::ok) {
     update();
-    released_.store(true);
+    phase_.store(phase_released);
     rounds_ok_.fetch_add(1, std::memory_order_relaxed);
     kmet().smp_barrier_rounds.inc();
   } else {
@@ -153,7 +162,6 @@ interrupt_barrier::status interrupt_barrier::run(std::uint32_t participant_mask,
     kmet().smp_barrier_rounds_failed.inc();
   }
   graph.resource_released(&release_slot_, me);
-  round_active_.store(false);
   if (round_start != 0) {
     const std::uint64_t end = now_nanos();
     ktrace::emit_span(trace_kind::barrier_round, name_,

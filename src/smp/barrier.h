@@ -60,8 +60,9 @@ class interrupt_barrier {
              std::chrono::milliseconds timeout = std::chrono::milliseconds(1000));
 
   // External escape hatch: abort the in-flight round (used after the
-  // deadlock detector has reported the cycle).
-  void abort_current() noexcept { aborted_.store(true); }
+  // deadlock detector has reported the cycle). A round the initiator has
+  // already committed to (every participant in) completes as ok.
+  void abort_current() noexcept { (void)end_armed(phase_aborted); }
 
   std::uint64_t rounds_ok() const noexcept { return rounds_ok_.load(std::memory_order_relaxed); }
   std::uint64_t rounds_failed() const noexcept {
@@ -77,7 +78,22 @@ class interrupt_barrier {
   std::function<void(virtual_cpu&)> on_interrupt_;
 
   simple_lock_data_t round_lock_{"barrier-round", /*track=*/false};
-  std::atomic<bool> round_active_{false};
+  // Round phase. A round is armed until one CAS ends it: to committing
+  // (the initiator saw every participant in, so none can leave before
+  // the release) or to aborted (abort_current or the timeout). The ISR
+  // enters only an armed round and waits while it is armed or committing.
+  static constexpr std::uint8_t phase_idle = 0;
+  static constexpr std::uint8_t phase_armed = 1;
+  static constexpr std::uint8_t phase_committing = 2;
+  static constexpr std::uint8_t phase_released = 3;
+  static constexpr std::uint8_t phase_aborted = 4;
+  std::atomic<std::uint8_t> phase_{phase_idle};
+  // End an armed round in phase `to`; false if the round was not armed
+  // (another CAS decided it first).
+  bool end_armed(std::uint8_t to) noexcept {
+    std::uint8_t armed = phase_armed;
+    return phase_.compare_exchange_strong(armed, to);
+  }
   // Round generation: bumped at every round start. A participant that has
   // not yet observed its round's release when the NEXT round begins would
   // otherwise spin on the new round's (reset) release flag forever — at
@@ -87,8 +103,6 @@ class interrupt_barrier {
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<std::uint32_t> needed_{0};
   std::atomic<std::uint32_t> entered_{0};
-  std::atomic<bool> released_{false};
-  std::atomic<bool> aborted_{false};
   std::atomic<std::uint64_t> rounds_ok_{0};
   std::atomic<std::uint64_t> rounds_failed_{0};
 

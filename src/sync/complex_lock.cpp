@@ -19,29 +19,37 @@ constexpr std::uint32_t kWantUpgrade = lock_data_t::kWantUpgrade;
 constexpr std::uint32_t kSlowReaders = lock_data_t::kSlowReaders;
 constexpr std::uint32_t kWant = kWantWrite | kWantUpgrade;
 
-constexpr std::uint32_t readers(std::uint32_t state) { return state & ~lock_data_t::kFlags; }
+using reader_way = lock_data_t::reader_way;
 
-// Views of the state word for code running under the interlock. Flags
-// change only under the interlock, so they are stable there; the reader
-// count may still move if no flag is set (fast-path readers).
-inline std::uint32_t read_count(const lock_data_t* l) { return readers(l->state.load()); }
+inline reader_way& my_way(lock_t l) { return l->ways[way_index()]; }
+
+// The readers in, for code running under the interlock: every exits is
+// read before any enters, so an exit counted here has its entry counted
+// too. A reader counts itself in before it checks the flags, so after a
+// drainer's flag set this sum may read high (a refused reader's entry,
+// briefly), never low.
+inline std::uint64_t read_count(const lock_data_t* l) {
+  std::uint64_t out = 0;
+  for (unsigned i = 0; i < num_ways; ++i) out += l->ways[i].exits.load();
+  std::uint64_t in = 0;
+  for (unsigned i = 0; i < num_ways; ++i) in += l->ways[i].enters.load();
+  return in - out;
+}
+
+// Flags change only under the interlock, so they are stable there.
 inline bool any_set(const lock_data_t* l, std::uint32_t flags) {
   return (l->state.load() & flags) != 0;
 }
 
-// Interlock held, kWantUpgrade clear, caller holds for read: set
-// kWantUpgrade and drop the caller's read hold in one RMW, so the flag is
-// up before the drain loop reads the count (as in lock_write). Adding
-// kWantUpgrade cannot carry, since the bit is clear.
-inline void claim_upgrade(lock_t l) { l->state.fetch_add(kWantUpgrade - 1); }
+// Interlock held: raise `flag`. The RMW is a full fence, so the flag is
+// visible before the caller sums the ways.
+inline void claim(lock_t l, std::uint32_t flag) { l->state.fetch_or(flag); }
 
-// Interlock held by the write or upgrade holder: clear `flag` and add
-// `readers_added` with a plain store. No fast path can change the word
-// meanwhile: entry needs it flag-free, and exit needs a reader count,
-// which a write-side hold keeps at zero unless recursion has set
-// kSlowReaders, which closes the fast exit too.
-inline void holder_release(lock_t l, std::uint32_t flag, std::uint32_t readers_added) {
-  l->state.store((l->state.load() & ~flag) + readers_added, std::memory_order_release);
+// Interlock held by the write or upgrade holder: clear `flag`. Every write
+// to the state word happens under the interlock, so a plain release store
+// cannot lose another flag.
+inline void holder_release(lock_t l, std::uint32_t flag) {
+  l->state.store(l->state.load() & ~flag, std::memory_order_release);
 }
 
 // --- hold-time profiling (ktrace-gated; interlock held) ---
@@ -139,50 +147,50 @@ class lock_waiter {
 // Interlock held. Keep kSlowReaders in step with the two options whose
 // reader rules only the interlock path implements.
 void sync_slow_readers(lock_t l) {
-  if (l->recursion_thread != nullptr || !l->writer_priority) {
-    l->state.fetch_or(kSlowReaders);
-  } else {
-    l->state.fetch_and(~kSlowReaders);
-  }
+  const std::uint32_t s = l->state.load() & ~kSlowReaders;
+  const bool slow = l->recursion_thread != nullptr || !l->writer_priority;
+  l->state.store(slow ? s | kSlowReaders : s, std::memory_order_release);
 }
 
-// Read-side fast paths, in the cmpxchg-loop style of Linux's lockref: one
-// CAS on the state word and no interlock. Each returns false, having
-// changed nothing, when the interlock path must decide instead.
+// A reader has just counted itself out, or backed out of a refused entry.
+// If a want flag is up now, a drainer may have summed the ways before our
+// decrement and gone to wait: wake it once the sum reaches zero. The flags
+// must be reloaded after the decrement; a load taken before it misses a
+// drainer whose flag went up in between. Each leaving reader sums after
+// its own decrement, under the interlock, so the last of them sees zero.
+inline void reader_gone(lock_t l) {
+  if ((l->state.load() & kWant) == 0) return;
+  simple_lock(&l->interlock);
+  if (l->write_holder == nullptr && read_count(l) == 0) lock_wakeup(l);
+  simple_unlock(&l->interlock);
+}
 
-// Entry is allowed only from a flag-free word, so a pending writer or
-// upgrade (whose flag is set by an RMW on this same word) refuses it.
+// Read-side fast paths: one RMW on the caller's own way and no interlock.
+// Each returns false, having changed nothing, when the interlock path must
+// decide instead.
+
+// Entry: count in on our way, then check the flags. A refused entry is
+// undone like an exit, so a drainer that summed us in is not left waiting.
 inline bool fast_read_enter(lock_t l) {
-  std::uint32_t s = l->state.load(std::memory_order_relaxed);
-  while ((s & lock_data_t::kFlags) == 0) {
-    if (l->state.compare_exchange_weak(s, s + 1, std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-      l->fast_reads.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
+  reader_way& w = my_way(l);
+  w.enters.fetch_add(1);
+  if ((l->state.load() & lock_data_t::kFlags) == 0) return true;
+  w.enters.fetch_sub(1);
+  reader_gone(l);
   return false;
 }
 
-// Exit: with kSlowReaders clear, a non-zero count means the caller holds
-// for read (write and upgrade holds keep the count at zero).
+// Exit, only from a flag-free word (no write-side holder, no recursion)
+// and only when our own way shows a reader in: otherwise the interlock
+// path decides who is releasing what.
 inline bool fast_read_exit(lock_t l) {
-  std::uint32_t s = l->state.load(std::memory_order_relaxed);
-  while ((s & kSlowReaders) == 0 && readers(s) != 0) {
-    if (l->state.compare_exchange_weak(s, s - 1, std::memory_order_release,
-                                       std::memory_order_relaxed)) {
-      if (readers(s) == 1 && (s & kWant) != 0) {
-        // Last reader out under a draining writer or upgrader. The drainer
-        // set its flag before reading the count, so it either saw our
-        // decrement or is waiting for this wakeup.
-        simple_lock(&l->interlock);
-        lock_wakeup(l);
-        simple_unlock(&l->interlock);
-      }
-      return true;
-    }
-  }
-  return false;
+  if ((l->state.load(std::memory_order_relaxed) & lock_data_t::kFlags) != 0) return false;
+  reader_way& w = my_way(l);
+  const std::uint64_t in = w.enters.load(std::memory_order_relaxed);
+  if (static_cast<std::int64_t>(in - w.exits.load(std::memory_order_relaxed)) <= 0) return false;
+  w.exits.fetch_add(1);
+  reader_gone(l);
+  return true;
 }
 
 inline void note_read_held(lock_t l, const void* me) {
@@ -209,11 +217,51 @@ inline void note_released(lock_t l, const void* me) {
 // (Mach behaviour) any outstanding write or upgrade request holds new
 // readers off, guaranteeing the writer eventually gets the drained lock.
 // Without it, readers keep piling in while read_count > 0 — the starvation
-// experiment E3 measures.
+// experiment E3 measures. A non-zero sum does not prove that a reader is in
+// (a refused entry shows briefly), so there a reader also waits out a
+// write-side holder, known by identity.
 bool reader_must_wait(const lock_data_t* l) {
-  const std::uint32_t s = l->state.load();
-  if (l->writer_priority) return (s & kWant) != 0;
-  return (s & kWant) != 0 && readers(s) == 0;
+  const bool want = any_set(l, kWant);
+  if (l->writer_priority) return want;
+  return l->write_holder != nullptr || (want && read_count(l) == 0);
+}
+
+// Interlock held, reader admitted: count the hold in on our way.
+inline void read_enter_locked(lock_t l) { my_way(l).enters.fetch_add(1); }
+
+// Interlock held: the recursion holder takes a read hold past any pending
+// write or upgrade request (paper sec. 4) — that is what lets it finish
+// the work those requests are waiting on.
+inline void recursive_read(lock_t l) {
+  read_enter_locked(l);
+  ++l->recursive_reads;
+  holder_increment(l->stats.recursive_acquisitions);
+}
+
+// Interlock held, kWantUpgrade clear, caller holds for read: raise
+// kWantUpgrade, turn the caller's read hold into the upgrade, and wait for
+// the other readers to drain. The first sum also checks that the caller
+// held a read: without one, dropping it takes the sum below zero.
+void upgrade(lock_t l, const void* me, bool force_sleep, const char* unheld) {
+  claim(l, kWantUpgrade);
+  reader_way& way = my_way(l);
+  way.exits.fetch_add(1);
+  lock_waiter w(l, me, stall_kind::writer_wait);
+  for (;;) {
+    const auto in = static_cast<std::int64_t>(read_count(l));
+    if (in == 0) break;
+    if (in < 0) {
+      way.exits.fetch_sub(1);
+      holder_release(l, kWantUpgrade);
+      fail_locked(l, unheld + std::string(l->name));
+    }
+    w.wait(force_sleep);
+  }
+  w.finish(trace_kind::complex_upgrade_wait);
+  l->write_holder = me;
+  holder_increment(l->stats.upgrades_succeeded);
+  hold_begin(l);
+  kprof::publish(kprof::activity::holding, l->name);
 }
 
 }  // namespace
@@ -221,19 +269,23 @@ bool reader_must_wait(const lock_data_t* l) {
 void lock_init(lock_t l, bool can_sleep, const char* name) {
   simple_lock_init(&l->interlock, name, /*tracked=*/false);
   l->state.store(0);
-  l->fast_reads.store(0, std::memory_order_relaxed);
+  for (unsigned i = 0; i < num_ways; ++i) {
+    l->ways[i].enters.store(0, std::memory_order_relaxed);
+    l->ways[i].exits.store(0, std::memory_order_relaxed);
+  }
   l->waiting = false;
   l->can_sleep = can_sleep;
   l->writer_priority = true;
   l->mach25_try_upgrade_bug = false;
   l->recursion_thread = nullptr;
   l->recursion_depth = 0;
+  l->recursive_reads = 0;
   l->write_holder = nullptr;
   l->name = name;
   for (std::atomic<std::uint64_t>* c :
-       {&l->stats.read_acquisitions, &l->stats.write_acquisitions,
-        &l->stats.recursive_acquisitions, &l->stats.upgrades_succeeded,
-        &l->stats.upgrades_failed, &l->stats.downgrades, &l->stats.sleeps, &l->stats.spins}) {
+       {&l->stats.write_acquisitions, &l->stats.recursive_acquisitions,
+        &l->stats.upgrades_succeeded, &l->stats.upgrades_failed, &l->stats.downgrades,
+        &l->stats.sleeps, &l->stats.spins}) {
     c->store(0, std::memory_order_relaxed);
   }
   l->write_acquire_nanos = 0;
@@ -248,20 +300,14 @@ void lock_read(lock_t l) {
   }
   simple_lock(&l->interlock);
   if (l->recursion_thread == me) {
-    // The recursive holder is never blocked by pending write/upgrade
-    // requests (paper sec. 4) — that is what lets it finish the work those
-    // requests are waiting on.
-    l->state.fetch_add(1);
-    holder_increment(l->stats.recursive_acquisitions);
-    holder_increment(l->stats.read_acquisitions);
+    recursive_read(l);
     simple_unlock(&l->interlock);
     return;
   }
   lock_waiter w(l, me, stall_kind::none);
   while (reader_must_wait(l)) w.wait();
   w.finish(trace_kind::complex_read_wait);
-  l->state.fetch_add(1);
-  holder_increment(l->stats.read_acquisitions);
+  read_enter_locked(l);
   note_read_held(l, me);
   simple_unlock(&l->interlock);
 }
@@ -284,10 +330,9 @@ void lock_write(lock_t l) {
   lock_waiter w(l, me, stall_kind::writer_wait);
   // Wait our turn behind other writers/upgraders...
   while (any_set(l, kWant)) w.wait();
-  // Commits us: no new readers may be added. The flag is set before the
-  // count is read, which is what lets the last fast-path reader out skip
-  // the interlock unless a wakeup is owed.
-  l->state.fetch_or(kWantWrite);
+  // Commits us: no new readers may be added. The flag is up before the
+  // ways are summed, so every reader either sees it or is counted.
+  claim(l, kWantWrite);
   // ...then drain existing readers, yielding to upgrades (upgrades are
   // favored over writes to avoid deadlocking a reader that must upgrade).
   while (read_count(l) > 0 || any_set(l, kWantUpgrade)) w.wait();
@@ -303,29 +348,22 @@ void lock_write(lock_t l) {
 bool lock_read_to_write(lock_t l) {
   const void* me = current_thread_token();
   simple_lock(&l->interlock);
-  if (read_count(l) == 0) fail_locked(l, std::string("upgrade without read hold on ") + l->name);
   if (l->recursion_thread == me) {
     fail_locked(l, std::string("upgrade of recursive read acquisition on ") + l->name);
   }
   if (any_set(l, kWantUpgrade)) {
+    if (read_count(l) == 0) fail_locked(l, std::string("upgrade without read hold on ") + l->name);
     // Another upgrade is pending: ours fails and RELEASES the read lock
     // (required to let the other upgrade drain; the caller needs recovery
     // logic — the cost sec. 7.1 complains about, measured in E4).
-    l->state.fetch_sub(1);
+    my_way(l).exits.fetch_add(1);
     holder_increment(l->stats.upgrades_failed);
     note_released(l, me);
     lock_wakeup(l);  // our released read hold may unblock the winner
     simple_unlock(&l->interlock);
     return true;  // TRUE = upgrade failed
   }
-  claim_upgrade(l);
-  lock_waiter w(l, me, stall_kind::writer_wait);
-  while (read_count(l) > 0) w.wait();
-  w.finish(trace_kind::complex_upgrade_wait);
-  l->write_holder = me;
-  holder_increment(l->stats.upgrades_succeeded);
-  hold_begin(l);
-  kprof::publish(kprof::activity::holding, l->name);
+  upgrade(l, me, /*force_sleep=*/false, "upgrade without read hold on ");
   simple_unlock(&l->interlock);
   return false;
 }
@@ -338,7 +376,10 @@ void lock_write_to_read(lock_t l) {
     fail_locked(l, std::string("downgrade with nested write acquisitions on ") + l->name);
   }
   hold_finish(l);  // the write-side hold ends at the downgrade
-  holder_release(l, any_set(l, kWantUpgrade) ? kWantUpgrade : kWantWrite, 1);
+  // The read hold is not a new acquisition: count it in by taking one exit
+  // back, before the flag falls.
+  my_way(l).exits.fetch_sub(1);
+  holder_release(l, any_set(l, kWantUpgrade) ? kWantUpgrade : kWantWrite);
   l->write_holder = nullptr;
   holder_increment(l->stats.downgrades);
   lock_wakeup(l);  // other readers may now enter
@@ -352,30 +393,29 @@ void lock_done(lock_t l) {
     return;
   }
   simple_lock(&l->interlock);
-  if (read_count(l) > 0) {
-    const std::uint32_t left = readers(l->state.fetch_sub(1)) - 1;
-    if (left == 0 || l->recursion_thread != me) note_released(l, me);
+  // Who releases what is decided by identity: a non-zero sum alone does
+  // not prove that a reader is in.
+  if (l->recursion_thread == me && l->recursive_reads > 0) {
+    --l->recursive_reads;  // a nested read; the holder still holds
+    my_way(l).exits.fetch_add(1);
+  } else if (l->write_holder == me && any_set(l, kWant)) {
+    if (l->recursion_depth > 0) {
+      --l->recursion_depth;
+    } else {
+      l->write_holder = nullptr;
+      hold_finish(l);
+      holder_release(l, any_set(l, kWantUpgrade) ? kWantUpgrade : kWantWrite);
+      note_released(l, me);
+    }
+  } else if (read_count(l) > 0) {
+    my_way(l).exits.fetch_add(1);
+    note_released(l, me);
   } else if (l->recursion_depth > 0) {
-    if (l->recursion_thread != me) {
-      fail_locked(l, std::string("lock_done of recursive depth by non-holder on ") + l->name);
-    }
-    --l->recursion_depth;
+    fail_locked(l, std::string("lock_done of recursive depth by non-holder on ") + l->name);
   } else if (any_set(l, kWantUpgrade)) {
-    if (l->write_holder != me) {
-      fail_locked(l, std::string("lock_done of upgrade hold by non-holder on ") + l->name);
-    }
-    l->write_holder = nullptr;
-    hold_finish(l);
-    holder_release(l, kWantUpgrade, 0);
-    note_released(l, me);
+    fail_locked(l, std::string("lock_done of upgrade hold by non-holder on ") + l->name);
   } else {
-    if (!(any_set(l, kWantWrite) && l->write_holder == me)) {
-      fail_locked(l, std::string("lock_done of unheld lock ") + l->name);
-    }
-    l->write_holder = nullptr;
-    hold_finish(l);
-    holder_release(l, kWantWrite, 0);
-    note_released(l, me);
+    fail_locked(l, std::string("lock_done of unheld lock ") + l->name);
   }
   lock_wakeup(l);
   simple_unlock(&l->interlock);
@@ -389,9 +429,7 @@ bool lock_try_read(lock_t l) {
   }
   simple_lock(&l->interlock);
   if (l->recursion_thread == me) {
-    l->state.fetch_add(1);
-    holder_increment(l->stats.recursive_acquisitions);
-    holder_increment(l->stats.read_acquisitions);
+    recursive_read(l);
     simple_unlock(&l->interlock);
     return true;
   }
@@ -399,8 +437,7 @@ bool lock_try_read(lock_t l) {
     simple_unlock(&l->interlock);
     return false;
   }
-  l->state.fetch_add(1);
-  holder_increment(l->stats.read_acquisitions);
+  read_enter_locked(l);
   note_read_held(l, me);
   simple_unlock(&l->interlock);
   return true;
@@ -416,10 +453,15 @@ bool lock_try_write(lock_t l) {
     simple_unlock(&l->interlock);
     return true;
   }
-  // Claim kWantWrite only from "no readers, no want flag": a CAS, because
-  // fast-path readers may enter until the flag is set.
-  std::uint32_t idle = l->state.load() & kSlowReaders;
-  if (!l->state.compare_exchange_strong(idle, idle | kWantWrite)) {
+  if (any_set(l, kWant)) {
+    simple_unlock(&l->interlock);
+    return false;
+  }
+  // Claim kWantWrite, then look for readers; back out if any are in. No
+  // waiter can have seen the flag: they all decide under the interlock.
+  claim(l, kWantWrite);
+  if (read_count(l) != 0) {
+    holder_release(l, kWantWrite);
     simple_unlock(&l->interlock);
     return false;
   }
@@ -435,23 +477,18 @@ bool lock_try_write(lock_t l) {
 bool lock_try_read_to_write(lock_t l) {
   const void* me = current_thread_token();
   simple_lock(&l->interlock);
-  if (read_count(l) == 0) fail_locked(l, std::string("try-upgrade without read hold on ") + l->name);
   if (any_set(l, kWantUpgrade) || l->recursion_thread == me) {
+    if (read_count(l) == 0) {
+      fail_locked(l, std::string("try-upgrade without read hold on ") + l->name);
+    }
     // Would deadlock (or is a recursive read): keep the read lock and
     // report failure — unlike lock_read_to_write, nothing is dropped.
     simple_unlock(&l->interlock);
     return false;
   }
-  claim_upgrade(l);
-  lock_waiter w(l, me, stall_kind::writer_wait);
   // Appendix B.3: Mach 2.5's implementation blocked here even with the
   // Sleep option disabled; reproduce that when the compat knob is set.
-  while (read_count(l) > 0) w.wait(/*force_sleep=*/l->mach25_try_upgrade_bug);
-  w.finish(trace_kind::complex_upgrade_wait);
-  l->write_holder = me;
-  holder_increment(l->stats.upgrades_succeeded);
-  hold_begin(l);
-  kprof::publish(kprof::activity::holding, l->name);
+  upgrade(l, me, /*force_sleep=*/l->mach25_try_upgrade_bug, "try-upgrade without read hold on ");
   simple_unlock(&l->interlock);
   return true;
 }
@@ -483,6 +520,7 @@ void lock_clear_recursive(lock_t l) {
     fail_locked(l, std::string("lock_clear_recursive with nested holds on ") + l->name);
   }
   l->recursion_thread = nullptr;
+  l->recursive_reads = 0;  // nested read holds left become plain read holds
   sync_slow_readers(l);
   simple_unlock(&l->interlock);
 }
@@ -503,7 +541,7 @@ void lock_set_mach25_try_upgrade_bug(lock_t l, bool on) {
 complex_lock_stats lock_stats(lock_t l) {
   const complex_lock_counters& c = l->stats;
   simple_lock(&l->interlock);
-  const complex_lock_stats s{counter_value(c.read_acquisitions) + counter_value(l->fast_reads),
+  const complex_lock_stats s{l->read_enters(),
                              counter_value(c.write_acquisitions),
                              counter_value(c.recursive_acquisitions),
                              counter_value(c.upgrades_succeeded),

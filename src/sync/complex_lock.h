@@ -24,12 +24,18 @@
 //   * the internal state of every complex lock is protected by a simple
 //     lock, so the only machine dependency is the simple lock itself.
 //
-// Departure from Appendix B: the reader count and the two want flags live
-// in one atomic state word, and a reader whose entry or exit sees no flag
-// set does it with one CAS on that word instead of taking the interlock.
-// Every other transition (writes, upgrades, downgrades, recursion, waits,
-// option changes) still runs under the interlock, with its flag updates
-// made as read-modify-writes on the word.
+// Departure from Appendix B: the two want flags live in one atomic state
+// word, and the reader count is a per-way indicator beside it: each
+// reader way (base/stats.h's way_index()) owns a cache line of {enters,
+// exits}, and the readers in are the sum of enters minus exits over the
+// ways. A reader whose entry or exit sees no flag set does it with one
+// fetch_add on its own way's line plus a load of the state word, without
+// the interlock, so concurrent readers write no shared line. Every other
+// transition (writes, upgrades, downgrades, recursion, waits, option
+// changes) and every write to the state word runs under the interlock. A
+// writer or upgrader sets its flag, then sums the ways (every exits before
+// any enters): a Dekker handshake with the reader, who counts itself in,
+// then checks the flags, so the sum may read high but never low.
 //
 // Extension for experiment E3: writers' priority can be disabled per lock
 // (lock_set_writer_priority) to measure the starvation it prevents.
@@ -37,6 +43,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 
 #include "base/compiler.h"
 #include "base/stats.h"
@@ -45,9 +52,8 @@
 
 namespace mach {
 
-// Cumulative per-lock statistics, as returned by lock_stats(). Reads that
-// took the fast path are tallied in lock_data_t::fast_reads instead;
-// lock_stats() folds them into read_acquisitions.
+// Cumulative per-lock statistics, as returned by lock_stats().
+// read_acquisitions is the sum of the reader ways' enters.
 struct complex_lock_stats {
   std::uint64_t read_acquisitions = 0;
   std::uint64_t write_acquisitions = 0;
@@ -63,7 +69,6 @@ struct complex_lock_stats {
 // the interlock, by a load and a store (holder_increment), and are relaxed
 // atomics because lockstat snapshots read them while holders write.
 struct complex_lock_counters {
-  std::atomic<std::uint64_t> read_acquisitions{0};
   std::atomic<std::uint64_t> write_acquisitions{0};
   std::atomic<std::uint64_t> recursive_acquisitions{0};
   std::atomic<std::uint64_t> upgrades_succeeded{0};
@@ -87,10 +92,12 @@ struct lock_data_t {
   // implement the documented-correct behaviour); enable to reproduce 2.5.
   bool mach25_try_upgrade_bug = false;
 
-  // Recursive option (paper sec. 4): the designated recursion holder and
-  // the extra depth of its nested write acquisitions.
+  // Recursive option (paper sec. 4): the designated recursion holder, the
+  // extra depth of its nested write acquisitions, and the read holds it
+  // took past pending writers (also counted in the reader ways).
   const void* recursion_thread = nullptr;
   int recursion_depth = 0;
+  int recursive_reads = 0;
 
   // Debug/tracking:
   const void* write_holder = nullptr;  // thread holding for write/upgrade
@@ -105,16 +112,35 @@ struct lock_data_t {
   std::uint64_t write_acquire_nanos = 0;
   std::atomic<lock_profile*> profile{nullptr};
 
-  // The state word, on its own cache line: the reader count in the low
-  // bits plus the flags below. The fast paths write only this line.
+  // The state word holds only the flags below; it is written only under
+  // the interlock, and readers load it on every entry and exit.
   static constexpr std::uint32_t kWantWrite = 1u << 31;    // a writer holds, or drains readers
   static constexpr std::uint32_t kWantUpgrade = 1u << 30;  // an upgrader holds, or drains readers
   // Readers must take the interlock: set while recursion_thread is set or
   // writers' priority is off, the cases whose reader rules need it.
   static constexpr std::uint32_t kSlowReaders = 1u << 29;
   static constexpr std::uint32_t kFlags = kWantWrite | kWantUpgrade | kSlowReaders;
+
+  // One reader way. A read hold counts in on the way of the thread that
+  // took it and out on the way of the thread that drops it, so one way's
+  // difference may be negative; the sum over the ways is the readers in.
+  struct alignas(cacheline_size) reader_way {
+    std::atomic<std::uint64_t> enters{0};  // read acquisitions on this way
+    std::atomic<std::uint64_t> exits{0};
+  };
+
+  // The state word and the way pointer share a line that readers only
+  // read; each reader writes its own way's line.
   alignas(cacheline_size) std::atomic<std::uint32_t> state{0};
-  std::atomic<std::uint64_t> fast_reads{0};  // read acquisitions that skipped the interlock
+  const std::unique_ptr<reader_way[]> ways{new reader_way[num_ways]};
+
+  // Read acquisitions so far: the ways' enters (a racy sum while readers
+  // run; a refused entry is briefly counted).
+  std::uint64_t read_enters() const noexcept {
+    std::uint64_t sum = 0;
+    for (unsigned i = 0; i < num_ways; ++i) sum += ways[i].enters.load(std::memory_order_relaxed);
+    return sum;
+  }
 
   lock_data_t() { lock_registry::instance().add(this); }
   // Named from the start, interlock included: lock_init renames a lock
@@ -176,8 +202,8 @@ void lock_set_writer_priority(lock_t l, bool on);
 // bug (blocks through the event system even when Sleep is disabled).
 void lock_set_mach25_try_upgrade_bug(lock_t l, bool on);
 
-// Snapshot of the statistics (taken under the interlock; fast-path reads
-// are added in from their relaxed counter).
+// Snapshot of the statistics (taken under the interlock; read acquisitions
+// are summed from the reader ways).
 complex_lock_stats lock_stats(lock_t l);
 
 // --- RAII guards (modern call sites; CP.20) ---

@@ -107,9 +107,7 @@ std::vector<lock_stat_entry> lock_registry::snapshot() const {
       // Racy (possibly one op stale) reads of the interlock-protected
       // counters: fine for diagnostics.
       lock_stat_entry e{l, l->name, true,
-                        counter_value(l->stats.read_acquisitions) +
-                            counter_value(l->stats.write_acquisitions) +
-                            counter_value(l->fast_reads),
+                        l->read_enters() + counter_value(l->stats.write_acquisitions),
                         counter_value(l->stats.sleeps) + counter_value(l->stats.spins)};
       fill_latency(e, l->profile);
       out.push_back(e);

@@ -1,6 +1,6 @@
 // stress_complex_lock: concurrency battery for complex locks
 // (sync/complex_lock.h), aimed at the read fast path: flag-free readers
-// enter and leave by one CAS on the state word while writers, upgrades
+// enter and leave on their own reader way's line while writers, upgrades
 // (winning and failing), try-variants, downgrades, recursion and option
 // toggles run through the interlock.
 //

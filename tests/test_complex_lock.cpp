@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/stats.h"
 #include "sched/event.h"
 #include "sched/kthread.h"
 #include "sync/complex_lock.h"
@@ -395,7 +396,7 @@ TEST(ComplexLock, StatsTrackEverything) {
   EXPECT_EQ(s.upgrades_failed, 0u);
 }
 
-// --- read fast path: flag-free readers enter and leave by one CAS ---
+// --- read fast path: flag-free readers enter and leave on their own way ---
 
 std::uint64_t interlock_acquisitions(const lock_data_t& l) {
   return l.interlock.stat_acquisitions;  // quiescent reads only
@@ -559,6 +560,120 @@ TEST(ComplexLockFastPath, ReadAcquisitionsCountFastAndSlowExactly) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// Readers count themselves in on their own way's line; the shared state
+// word carries only the want/slow flags, so read holds leave it idle.
+TEST(ComplexLockFastPath, ReadHoldsLeaveStateWordIdle) {
+  constexpr int k = 3;
+  lock_data_t l;
+  lock_init(&l, true, "fast-idle-word");
+  std::atomic<int> held{0};
+  std::atomic<bool> release{false};
+  std::vector<std::unique_ptr<kthread>> rs;
+  for (int r = 0; r < k; ++r) {
+    rs.push_back(kthread::spawn("reader", [&] {
+      lock_read(&l);
+      held.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+      lock_done(&l);
+    }));
+  }
+  ASSERT_TRUE(eventually([&] { return held.load() == k; }));
+  EXPECT_EQ(l.state.load(), 0u) << "read holds wrote the shared state word";
+  EXPECT_EQ(lock_stats(&l).read_acquisitions, static_cast<std::uint64_t>(k));
+  release.store(true);
+  for (auto& r : rs) r->join();
+  EXPECT_TRUE(lock_try_write(&l));
+  lock_done(&l);
+}
+
+// Wait until a drainer is in its wait loop, then expect it to finish once
+// the lock is free; on a lost wakeup, fail and kick it so the test ends.
+void expect_drainer_finishes(lock_data_t& l, const std::atomic<bool>& done, const char* what) {
+  if (eventually([&] { return done.load(); })) return;
+  ADD_FAILURE() << "lost wakeup: " << what;
+  while (!done.load()) {
+    thread_wakeup(&l);
+    std::this_thread::sleep_for(1ms);
+  }
+}
+
+// A read hold counts in on the way of the thread that takes it and out on
+// the way of the thread that drops it: the drainer's sum must still reach
+// zero, and the drop must wake the sleeping writer.
+TEST(ComplexLockFastPath, ReadHoldDroppedOnAnotherWayWakesSleepingWriter) {
+  lock_data_t l;
+  lock_init(&l, /*can_sleep=*/true, "cross-way");
+  std::atomic<unsigned> taker_way{num_ways};
+  std::atomic<bool> dropped{false};
+  auto taker = kthread::spawn("taker", [&] {
+    lock_read(&l);
+    taker_way.store(way_index());
+    while (!dropped.load()) std::this_thread::yield();
+  });
+  ASSERT_TRUE(eventually([&] { return taker_way.load() != num_ways; }));
+  std::atomic<bool> wrote{false};
+  auto writer = kthread::spawn("writer", [&] {
+    lock_write(&l);
+    wrote.store(true);
+    lock_done(&l);
+  });
+  ASSERT_TRUE(eventually([&] { return lock_stats(&l).sleeps > 0; }));
+  EXPECT_FALSE(wrote.load()) << "writer admitted past a read hold";
+  std::atomic<unsigned> dropper_way{num_ways};
+  auto dropper = kthread::spawn("dropper", [&] {
+    dropper_way.store(way_index());
+    lock_done(&l);
+  });
+  dropper->join();
+  dropped.store(true);
+  taker->join();
+  EXPECT_NE(taker_way.load(), dropper_way.load()) << "hold not dropped on another way";
+  expect_drainer_finishes(l, wrote, "writer still asleep after a cross-way drop");
+  writer->join();
+  EXPECT_EQ(l.state.load(), 0u);
+  EXPECT_TRUE(lock_try_write(&l));
+  lock_done(&l);
+  EXPECT_EQ(lock_stats(&l).read_acquisitions, 1u);
+}
+
+// Without writers' priority every fast entry is refused by kSlowReaders
+// alone: the reader counts in, sees the flag and backs out. A writer that
+// sums the ways in that window counts the reader and sleeps; the reader
+// must reload the flags after backing out and wake it. If it decides on
+// the load taken before the back-out, the writer sleeps, the reader then
+// waits behind the writer's flag, and both sleep for good.
+TEST(ComplexLockFastPath, NoPriorityWriterDrainsPastRefusedReaders) {
+  constexpr int rounds = 200;
+  constexpr int writes = 1000;
+  for (int round = 0; round < rounds; ++round) {
+    lock_data_t l;
+    lock_init(&l, /*can_sleep=*/true, "nopriority-drain");
+    lock_set_writer_priority(&l, false);
+    std::atomic<bool> wrote{false};
+    std::atomic<std::uint64_t> reads{0};
+    auto reader = kthread::spawn("reader", [&] {
+      while (!wrote.load()) {
+        lock_read(&l);
+        lock_done(&l);
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    auto writer = kthread::spawn("writer", [&] {
+      for (int i = 0; i < writes; ++i) {
+        lock_write(&l);
+        lock_done(&l);
+      }
+      wrote.store(true);
+    });
+    expect_drainer_finishes(l, wrote, "writer asleep behind a refused reader");
+    writer->join();
+    reader->join();
+    EXPECT_EQ(l.state.load(), lock_data_t::kSlowReaders);
+    EXPECT_EQ(lock_stats(&l).read_acquisitions, reads.load());
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 // The last fast-path reader out must wake a drainer that went to sleep

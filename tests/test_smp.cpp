@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <thread>
+#include <vector>
 
 #include "sched/kthread.h"
 #include "smp/barrier.h"
@@ -299,6 +301,61 @@ TEST_F(BarrierTest, DeafParticipantProcessesPostedWorkLate) {
   stop.store(true);
   late->join();
   EXPECT_EQ(flushes.load(), 1);  // posted update processed after the fact
+}
+
+// An abort that lands before the last participant's entry must end the
+// round as aborted. Before the round phase was one word, the participant
+// could enter after the abort and leave at once, and the initiator, seeing
+// every entry bit set, committed: it ran update() after the participants
+// had left and counted the round ok.
+TEST_F(BarrierTest, AbortBeforeLateEntryNeverCommits) {
+  constexpr int kRounds = 200;
+  std::atomic<int> updates{0};
+  barrier_->attach(SPLHIGH);
+  std::atomic<int> may_enter{0};  // rounds the participant may poll in
+  std::atomic<int> polled{0};     // rounds it has polled in
+  auto late = kthread::spawn("late", [&] {
+    cpu_binding bind(1);
+    spl_t s = splraise(SPLHIGH);  // deaf to the barrier's IPI
+    for (int r = 1; r <= kRounds; ++r) {
+      while (may_enter.load() < r) std::this_thread::yield();
+      splx(s);
+      machine::interrupt_point();  // takes the IPI posted for round r
+      s = splraise(SPLHIGH);
+      polled.store(r);
+    }
+    splx(s);
+  });
+  std::atomic<int> finished{0};
+  std::vector<int> results(kRounds + 1, -1);
+  auto initiator = kthread::spawn("initiator", [&] {
+    cpu_binding bind(0);
+    for (int r = 1; r <= kRounds; ++r) {
+      // Start round r only once the participant is deaf again, so it
+      // cannot take round r's IPI with round r - 1's poll.
+      while (polled.load() < r - 1) std::this_thread::yield();
+      const auto st = barrier_->run(0b0010, [&] { updates.fetch_add(1); }, 10s);
+      results[r] = static_cast<int>(st);
+      finished.store(r);
+    }
+  });
+  virtual_cpu& cpu1 = machine::instance().cpu(1);
+  for (int r = 1; r <= kRounds; ++r) {
+    // Round r is armed once its IPI is pending on the deaf CPU.
+    while (polled.load() < r - 1 || !cpu1.has_pending()) std::this_thread::yield();
+    barrier_->abort_current();
+    may_enter.store(r);
+    while (finished.load() < r) std::this_thread::yield();
+  }
+  late->join();
+  initiator->join();
+  int not_aborted = 0;
+  for (int r = 1; r <= kRounds; ++r) {
+    if (results[r] != static_cast<int>(interrupt_barrier::status::aborted)) ++not_aborted;
+  }
+  EXPECT_EQ(not_aborted, 0) << "rounds that did not report the abort";
+  EXPECT_EQ(barrier_->rounds_ok(), 0u);
+  EXPECT_EQ(updates.load(), 0);
 }
 
 }  // namespace
