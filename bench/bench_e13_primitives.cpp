@@ -148,23 +148,31 @@ BENCHMARK(BM_RefCloneRelease);
 
 // The refcount under concurrency: every benchmark thread clones and
 // releases one shared kobject, as kcache-hot's GETs do on a hot item. The
-// count is one atomic word, so this row tracks its line moving between
-// cores.
-void BM_RefCloneReleaseShared(benchmark::State& state) {
+// atomic row is one count word, so it tracks that line moving between
+// cores; the striped row is what an mc_item's count does: one word until a
+// clone contends, then a slot per way.
+void BM_RefCloneReleaseShared(benchmark::State& state, refcount_policy policy) {
   struct plain : kobject {
-    plain() : kobject("bm-shared") {}
+    explicit plain(refcount_policy p) : kobject("bm-shared", p) {}
   };
   static plain* obj = nullptr;
   // Threads start the timed loop together, after thread 0's setup, and
   // thread 0 releases the object after they all leave it.
-  if (state.thread_index() == 0) obj = new plain;
+  if (state.thread_index() == 0) obj = new plain(policy);
   for (auto _ : state) {
     obj->ref_clone();
     obj->ref_release();
   }
   if (state.thread_index() == 0) obj->ref_release();
 }
-BENCHMARK(BM_RefCloneReleaseShared)->Threads(1)->Threads(2)->Threads(4);
+BENCHMARK_CAPTURE(BM_RefCloneReleaseShared, atomic, refcount_policy::atomic)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4);
+BENCHMARK_CAPTURE(BM_RefCloneReleaseShared, striped, refcount_policy::striped)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4);
 
 void BM_EventShortCircuit(benchmark::State& state) {
   int event = 0;

@@ -33,9 +33,10 @@ namespace mach {
 class alignas(cacheline_size) kobject {
  public:
   // `ref_policy` selects the reference-count implementation (kern/
-  // refcount.h): the atomic portion by default; long-lived hot objects
-  // such as processor sets and pager-backed memory objects pass
-  // refcount_policy::striped.
+  // refcount.h): the atomic portion by default; hot objects whose count
+  // many cores clone at once (cache items, processor sets, pager-backed
+  // memory objects) pass refcount_policy::striped, which stays one word
+  // until a clone meets contention and only then allocates per-way slots.
   explicit kobject(const char* type_name,
                    refcount_policy ref_policy = default_refcount_policy());
   virtual ~kobject();
@@ -71,6 +72,8 @@ class alignas(cacheline_size) kobject {
   int ref_count() const { return ref_.value(); }
   // Which count policy this object was built with.
   refcount_policy ref_policy() const { return ref_.policy(); }
+  // Whether a striped count has inflated to per-way slots (diagnostic).
+  bool ref_inflated() const { return ref_.inflated(); }
 
   // --- deactivation (section 9) ---
   // Mark deactivated; idempotent; returns true if this call did it.

@@ -17,7 +17,7 @@ namespace mach {
 
 mc_item::mc_item(std::uint64_t key, zone& vz, std::uint64_t* block, const std::uint64_t* words,
                  std::size_t len)
-    : kobject("mc-item"), key_(key), vz_(vz), block_(block), len_(len) {
+    : kobject("mc-item", refcount_policy::striped), key_(key), vz_(vz), block_(block), len_(len) {
   for (std::size_t i = 0; i < len_; ++i) block_[i] = words[i];
 }
 

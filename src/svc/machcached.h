@@ -6,8 +6,10 @@
 // cache library:
 //
 //   * items are kernel objects (`mc_item` : kobject) — existence is
-//     coordinated by reference counting (section 8), under the kobject
-//     default count policy (the atomic portion, E7);
+//     coordinated by reference counting (section 8), under the lazily
+//     striped count (kern/refcount.h): one word per item until concurrent
+//     GETs contend on it, then per-way slots, so a hot item's clones and
+//     releases stop writing a shared line;
 //   * item values live in a zalloc zone (section 4's "memory allocation
 //     blocks if memory is not available" substrate) — the zone capacity
 //     is the cache's "physical memory" and SET observes backpressure

@@ -1,18 +1,21 @@
-// lockref64 — the word behind each striped_refcount slot (kern/refcount.h):
-// a spinlock bit and a count packed into one 64-bit word, the Linux
-// lib/lockref.c layout (SNIPPETS.md Snippet 1).
+// lockref64 — the word behind striped_refcount (kern/refcount.h): a
+// spinlock bit, a few flag bits and a count packed into one 64-bit word,
+// the Linux lib/lockref.c layout (SNIPPETS.md Snippet 1).
 //
-// A striped slot is updated two ways. A get/put on its own slot is one
-// compare-exchange that also checks the lock bit is clear, so it never
-// touches the lock. The release that may be the last takes every slot's
-// lock, folds the counts, and republishes them; while the bit is set,
-// every fast-path compare-exchange on that slot fails and waits.
+// A striped count uses one such word as its central count and, once
+// inflated, one per slot. A get/put is one compare-exchange that also
+// checks the lock bit is clear, so it never touches the lock. The release
+// that may be the last takes every slot's lock and the central one, folds
+// the counts, and republishes them; while the bit is set, every fast-path
+// compare-exchange on that word fails and waits.
 //
 // Word layout:
 //   bit  0      — embedded spinlock (kLockBit)
 //   bit  1      — dead/retired marker (kDeadBit), sticky once set, so
 //                 clone-from-dead and over-release are detectable from a
 //                 single word load
+//   bit  2      — inflated marker (kInflatedBit), set once on a striped
+//                 count's central word when its slots take over
 //   bits 32..63 — signed 32-bit count
 //
 // This header is only the machine-level word: the cmpxchg step, the
@@ -38,6 +41,7 @@ class lockref64 {
  public:
   static constexpr std::uint64_t kLockBit = 1u << 0;
   static constexpr std::uint64_t kDeadBit = 1u << 1;
+  static constexpr std::uint64_t kInflatedBit = 1u << 2;
   // Bound on fast-path cmpxchg retries before a slot op falls back to its
   // locked path (Linux bounds the equivalent loop on some architectures to
   // avoid cmpxchg livelock against a stream of winners).
@@ -57,6 +61,9 @@ class lockref64 {
   }
   static constexpr bool is_locked(std::uint64_t word) noexcept { return (word & kLockBit) != 0; }
   static constexpr bool is_dead(std::uint64_t word) noexcept { return (word & kDeadBit) != 0; }
+  static constexpr bool is_inflated(std::uint64_t word) noexcept {
+    return (word & kInflatedBit) != 0;
+  }
 
   std::uint64_t load() const noexcept { return word_.load(std::memory_order_acquire); }
 
@@ -68,7 +75,7 @@ class lockref64 {
                                        std::memory_order_acquire);
   }
 
-  // --- the embedded spinlock (slot slow paths and the reconcile) ---
+  // --- the embedded spinlock (slow paths, inflation and the reconcile) ---
 
   void lock() noexcept {
     backoff b;

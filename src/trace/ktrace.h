@@ -62,7 +62,8 @@ enum class trace_kind : std::uint16_t {
   // kern — arg1 = the count's address ("the portion containing its
   // reference count" — the policy object inside kobject, or a bare
   // refcount); arg2 = resulting reference count where the policy knows it
-  // exactly (striped fast paths emit 0 for takes / 1 for non-final puts)
+  // exactly (an inflated striped count's slot paths emit 0 for takes / 1
+  // for non-final puts)
   ref_take,        // instant: reference cloned
   ref_release,     // instant: reference released (arg2 == 0: destroyed)
   ref_deactivate,  // instant: object deactivated (arg2 = 1 if this call)

@@ -9,7 +9,8 @@ namespace mach {
 memory_object::memory_object(object_zone<vm_page>& pages, std::chrono::microseconds pager_latency,
                              const char* name)
     // Pager-backed objects are long-lived and hot (every fault clones a
-    // reference): striped counters keep the get/put traffic off one line.
+    // reference): the striped count takes the get/put traffic off one
+    // line once faults contend on it.
     : kobject(name, refcount_policy::striped), pages_(pages), pager_latency_(pager_latency) {}
 
 memory_object::~memory_object() {

@@ -1,8 +1,6 @@
 // Tests for the Mach event-wait primitives (paper section 6) and kthread.
 #include <gtest/gtest.h>
 
-#include <sched.h>
-
 #include <atomic>
 #include <chrono>
 
@@ -253,12 +251,6 @@ TEST(Event, ThreadSleepReleasesLockAndWaits) {
 
 // --- thread_block's spin phase ---
 
-int usable_cpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  return sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 1;
-}
-
 void busy_wait(std::chrono::microseconds d) {
   const auto until = std::chrono::steady_clock::now() + d;
   while (std::chrono::steady_clock::now() < until) cpu_relax();
@@ -314,7 +306,7 @@ block_rounds run_block_rounds(event_t ev, int warmup, std::chrono::microseconds 
 TEST(EventSpin, WakeupWithinBudgetIsCaughtInTheSpin) {
   // The test's main thread and the waiter are runnable; the gate needs a
   // third CPU left idle.
-  if (usable_cpus() < 3) GTEST_SKIP() << "the spin gate needs at least 3 usable CPUs here";
+  if (testing::usable_cpus() < 3) GTEST_SKIP() << "the spin gate needs at least 3 usable CPUs here";
   testing::kmon_scope metrics;
   constexpr int rounds = 40;
   const block_rounds r =
@@ -327,7 +319,7 @@ TEST(EventSpin, WakeupWithinBudgetIsCaughtInTheSpin) {
 }
 
 TEST(EventSpin, ClearWaitReachesASpinningWaiter) {
-  if (usable_cpus() < 3) GTEST_SKIP() << "the spin gate needs at least 3 usable CPUs here";
+  if (testing::usable_cpus() < 3) GTEST_SKIP() << "the spin gate needs at least 3 usable CPUs here";
   testing::kmon_scope metrics;
   constexpr int rounds = 40;
   const block_rounds r = run_block_rounds(&dummy_event_b, 8, 150us, rounds,
@@ -347,7 +339,7 @@ TEST(EventSpin, RunnableKthreadsCloseTheGate) {
   testing::kmon_scope metrics;
   std::atomic<bool> stop{false};
   std::vector<std::unique_ptr<kthread>> busy;
-  for (int i = 0; i < usable_cpus(); ++i) {
+  for (int i = 0; i < testing::usable_cpus(); ++i) {
     busy.push_back(kthread::spawn("busy" + std::to_string(i), [&] {
       while (!stop.load()) std::this_thread::sleep_for(200us);
     }));

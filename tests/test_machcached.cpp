@@ -110,6 +110,55 @@ TEST(McCache, QuiesceInvariantDetectsOutstandingReference) {
   EXPECT_TRUE(cache.check_quiesced(&why)) << why;
 }
 
+// Items carry the lazily striped count. A single-threaded prefill and
+// read-back never contend, so no item pays for a slot array: the cache's
+// bytes per item stay those of one count word.
+TEST(McCache, PrefillLeavesItemCountsUninflated) {
+  mc_cache cache(small_cache(1, 256));
+  const std::uint64_t v[4] = {1, 2, 3, 4};
+  for (std::uint64_t k = 0; k < 256; ++k) ASSERT_EQ(cache.set(k, v, 4), KERN_SUCCESS);
+  for (std::uint64_t k = 0; k < 256; ++k) {
+    auto item = cache.get(k);
+    ASSERT_TRUE(item);
+    EXPECT_EQ(item->ref_policy(), refcount_policy::striped);
+    EXPECT_FALSE(item->ref_inflated()) << "key " << k;
+  }
+  std::string why;
+  EXPECT_TRUE(cache.check_quiesced(&why)) << why;
+}
+
+// Concurrent GETs of one hot item contend on its count word, and the
+// first clone that loses a cmpxchg stripes it; the counts stay exact.
+TEST(McCache, HotItemCountInflatesUnderConcurrentGets) {
+  if (testing::usable_cpus() < 2) {
+    GTEST_SKIP() << "a count cmpxchg almost never fails on one usable CPU";
+  }
+  mc_cache cache(small_cache());
+  const std::uint64_t v[4] = {1, 2, 3, 4};
+  ASSERT_EQ(cache.set(9, v, 4), KERN_SUCCESS);
+  ref_ptr<mc_item> hot = cache.get(9);
+  ASSERT_TRUE(hot);
+  ASSERT_FALSE(hot->ref_inflated());
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  std::vector<std::unique_ptr<kthread>> ts;
+  for (int t = 0; t < 3; ++t) {
+    ts.push_back(kthread::spawn("hot-getter", [&] {
+      while (!hot->ref_inflated() && std::chrono::steady_clock::now() < deadline) {
+        ref_ptr<mc_item> it = cache.get(9);
+        ASSERT_TRUE(it);
+        EXPECT_EQ(it->value()[3], 4u);
+      }
+    }));
+  }
+  for (auto& t : ts) t->join();
+  EXPECT_TRUE(hot->ref_inflated());
+  EXPECT_EQ(hot->ref_count(), 2);  // the table's and ours
+  hot.reset();
+  std::string why;
+  EXPECT_TRUE(cache.check_quiesced(&why)) << why;
+  EXPECT_TRUE(cache.del(9));  // the last release frees the slot array too
+}
+
 TEST(McServer, ServesGetSetDelOverIpc) {
   mc_cache cache(small_cache(2));
   machcached_config cfg;
