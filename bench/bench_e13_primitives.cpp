@@ -3,16 +3,21 @@
 // google-benchmark microbenchmarks of every locking primitive the paper's
 // appendices document, uncontended (plus a shared-lock read row and a
 // shared-object clone/release row at 1, 2 and 4 threads, a two-thread
-// wakeup/park round trip, and two bare-atomic floor rows): the baseline costs every design discussion in the paper
+// wakeup/park round trip, a two-thread port request/reply round trip,
+// and two bare-atomic floor rows): the baseline costs every design discussion in the paper
 // builds on (e.g. why the simple lock is "a C integer", and what a complex
 // lock's read side costs with and without the interlock).
 #include <benchmark/benchmark.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/bench_json.h"
@@ -220,6 +225,55 @@ void BM_WakeupHandoff(benchmark::State& state) {
   partner->join();
 }
 BENCHMARK(BM_WakeupHandoff)->UseRealTime();
+
+// Move the calling thread onto a CPU of its affinity mask other than
+// `avoid`, then take the mask back: the thread stays where it was moved.
+// A thread spawned in a burst can stay on its spawner's CPU for tens of
+// ms, and a partner that spins or polls there holds off the very thread
+// it waits for. No-op with one usable CPU.
+void move_off_cpu(int avoid) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  if (pthread_getaffinity_np(pthread_self(), sizeof(saved), &saved) != 0 ||
+      CPU_COUNT(&saved) < 2) {
+    return;
+  }
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (cpu == avoid || !CPU_ISSET(cpu, &saved)) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) != 0) return;
+    while (sched_getcpu() != cpu) std::this_thread::yield();
+    pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved);
+    return;
+  }
+}
+
+// The IPC hop of mc-read: the benchmark thread sends a request to a
+// partner kthread blocked in port::receive, which sends it back on a
+// second port; one iteration is a round trip. A receive polls its port's
+// depth word before it waits, so with spare CPUs neither send makes a
+// wakeup call; on one CPU the gate is shut and both receivers park.
+void BM_PortHandoff(benchmark::State& state) {
+  auto request = make_object<port>("bm-request");
+  auto reply = make_object<port>("bm-reply");
+  const int home = sched_getcpu();
+  std::atomic<bool> ready{false};
+  auto partner = kthread::spawn("bm-port-partner", [&] {
+    move_off_cpu(home);
+    ready.store(true);
+    while (std::optional<message> m = request->receive()) reply->send(std::move(*m));
+  });
+  while (!ready.load()) std::this_thread::yield();
+  for (auto _ : state) {
+    request->send(message(1));
+    benchmark::DoNotOptimize(reply->receive());
+  }
+  request->destroy_port();
+  partner->join();
+}
+BENCHMARK(BM_PortHandoff)->UseRealTime();
 
 void BM_PortSendReceive(benchmark::State& state) {
   auto p = make_object<port>("bm-port");

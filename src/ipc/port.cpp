@@ -101,6 +101,7 @@ kern_return_t port::send(message m) {
   }
   if (kspan::enabled()) [[unlikely]] span_stamp_send(m, *this);
   queue_.push_back(std::move(m));
+  depth_.store(queue_.size(), std::memory_order_release);
   const bool wake = receivers_waiting_ != 0;
   unlock();
   sends_ok_.fetch_add(1, std::memory_order_relaxed);
@@ -109,13 +110,33 @@ kern_return_t port::send(message m) {
   return KERN_SUCCESS;
 }
 
+message port::pop_locked() {
+  message m = std::move(queue_.front());
+  queue_.pop_front();
+  depth_.store(queue_.size(), std::memory_order_release);
+  return m;
+}
+
 std::optional<message> port::receive(std::chrono::milliseconds timeout) {
   const bool bounded = timeout != std::chrono::milliseconds::max();
-  lock();
+  const std::chrono::nanoseconds poll_limit =
+      bounded ? std::chrono::nanoseconds(timeout) : std::chrono::nanoseconds::max();
+  // Poll before locking: a send that lands in the poll makes no wakeup
+  // call. A receiver that saw the word go non-zero but finds the queue
+  // empty under the lock lost that message to another receiver; it polls
+  // again. Only a poll that runs out (or a shut gate) leads to the wait.
+  bool polling = true;
+  for (;;) {
+    if (polling && depth_.load(std::memory_order_acquire) == 0) {
+      polling = spin_while_zero(depth_, poll_limit);
+    }
+    lock();
+    if (!polling || !queue_.empty() || !active()) break;
+    unlock();
+  }
   for (;;) {
     if (!queue_.empty()) {
-      message m = std::move(queue_.front());
-      queue_.pop_front();
+      message m = pop_locked();
       unlock();
       span_note_recv(m, *this);
       return m;
@@ -139,8 +160,7 @@ std::optional<message> port::receive(std::chrono::milliseconds timeout) {
       // message would be silently delayed and mis-delivered to the NEXT
       // call. Drain once under the lock before giving up.
       if (!queue_.empty()) {
-        message m = std::move(queue_.front());
-        queue_.pop_front();
+        message m = pop_locked();
         // If more messages slipped in, their wakeups may also have been
         // consumed against no waiter; re-signal so a blocked receiver
         // picks them up instead of stranding them.
@@ -157,13 +177,13 @@ std::optional<message> port::receive(std::chrono::milliseconds timeout) {
 }
 
 std::optional<message> port::try_receive() {
+  if (depth_.load(std::memory_order_acquire) == 0) return std::nullopt;
   lock();
   if (queue_.empty()) {
     unlock();
     return std::nullopt;
   }
-  message m = std::move(queue_.front());
-  queue_.pop_front();
+  message m = pop_locked();
   unlock();
   span_note_recv(m, *this);
   return m;
@@ -180,6 +200,8 @@ void port::destroy_port() {
   // the queue we drain, and every later send fails KERN_TERMINATED.
   deactivate_locked();
   drained.swap(queue_);
+  // A polling receiver leaves its poll at once.
+  depth_.store(kDeadBit, std::memory_order_release);
   unlock();
   // Dropped messages release their carried port references here, outside
   // any lock.

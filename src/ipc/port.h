@@ -8,9 +8,27 @@
 // structure contains a pointer to the actual object"). Clearing that
 // pointer — shutdown step 2 — is what disables port-to-object translation
 // while outstanding references keep both data structures alive.
+//
+// Receiving polls, then waits. The port keeps one atomic depth word: the
+// queue length, written under the port lock at every enqueue, dequeue and
+// drain, with kDeadBit set by destroy_port. It is read without the lock.
+// try_receive on an empty port returns at once and takes no lock.
+// receive looks at the word before it locks; while it reads 0, the
+// receiver polls it (spin_while_zero, sched/event.h: the calling thread's
+// spin budget, and only while the spin gate is open). It takes the lock
+// when the word goes non-zero (a message, or a dead port) or the poll
+// runs out. A receiver that finds the queue empty under the lock after
+// the word went non-zero lost that message to another receiver, and
+// polls again. Once the poll runs out, it re-checks the queue and
+// active() under the lock, and only then asserts its wait. send wakes
+// only receivers that asserted a wait, so a send that lands in a poll
+// makes no wakeup call, and the lost-wakeup argument is the one the
+// locked path always had.
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <deque>
 #include <optional>
 
@@ -59,7 +77,14 @@ class port final : public kobject {
   std::uint64_t sends_failed() const { return sends_failed_.load(std::memory_order_relaxed); }
 
  private:
+  static constexpr std::uint64_t kDeadBit = std::uint64_t{1} << 63;
+
+  // Under the lock: pop the head and publish the new depth.
+  message pop_locked();
+
   std::deque<message> queue_;
+  // queue_.size(), or kDeadBit once destroyed (see the header comment).
+  std::atomic<std::uint64_t> depth_{0};
   std::size_t queue_limit_ = 1024;
   // Receivers between assert_wait and re-locking after their block (under
   // the port lock). send() wakes one only when this is non-zero: any other

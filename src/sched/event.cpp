@@ -94,25 +94,41 @@ struct event_system {
     return removed;
   }
 
+  static spin_gate_view gate() noexcept {
+    return {kthread::runnable_.load(std::memory_order_relaxed), usable_cpus()};
+  }
+
   // The spin gate: spin only while the runnable kthreads, the spinner
   // included, leave a usable CPU idle, so a thread a waker unparks finds a
   // CPU at once and a spinner never takes one from the thread it waits
   // for. On one CPU, or oversubscribed, thread_block parks at once. (With
   // runnable <= cpus instead, E17's 4/4/95 row lost ~11% on a 4-vCPU VM.)
   static bool spin_gate_open() noexcept {
-    return kthread::runnable_.load(std::memory_order_relaxed) < usable_cpus();
+    const spin_gate_view g = gate();
+    return g.runnable < g.usable_cpus;
   }
 
-  // Poll for a wakeup, without the mutex, until one is pending, `until`
-  // passes or the gate closes.
-  static void spin(const kthread& t, std::chrono::steady_clock::time_point until) {
+  // The one spin loop: poll `word`, without a lock, until it reads
+  // non-zero, `until` passes or the gate closes. thread_block watches its
+  // wakeup flag; port::receive watches its port's depth word (through
+  // spin_while_zero). Returns whether the word read non-zero.
+  template <class Word>
+  static bool spin(const std::atomic<Word>& word, std::chrono::steady_clock::time_point until) {
     for (;;) {
       for (int i = 0; i < 64; ++i) {
-        if (t.wakeup_pending_.load(std::memory_order_acquire)) return;
+        if (word.load(std::memory_order_acquire) != Word{}) return true;
         cpu_relax();
       }
-      if (std::chrono::steady_clock::now() >= until || !spin_gate_open()) return;
+      if (std::chrono::steady_clock::now() >= until || !spin_gate_open()) return false;
     }
+  }
+
+  // spin_while_zero: the calling thread's budget, capped by `limit`, and
+  // the same gate as thread_block's spin.
+  static bool poll(const std::atomic<std::uint64_t>& word, std::chrono::nanoseconds limit) {
+    const std::chrono::nanoseconds budget = std::min(kthread::current().spin_budget_, limit);
+    if (budget <= std::chrono::nanoseconds::zero() || !spin_gate_open()) return false;
+    return spin(word, std::chrono::steady_clock::now() + budget);
   }
 
   // Condvar wait until a wakeup is pending, or until `limit` elapses (null:
@@ -193,7 +209,7 @@ struct event_system {
       // Spin on a CPU no runnable kthread needs, standing in for Mach's
       // idle processor picking up the woken thread at once.
       g.unlock();
-      spin(t, start + spin_limit);
+      spin(t.wakeup_pending_, start + spin_limit);
       g.lock();
       if (t.wakeup_pending_) {
         // Caught in the spin: as good as the non-blocking switch.
@@ -262,7 +278,10 @@ struct event_system {
 
   static void wakeup(event_t e, bool one) {
     event_bucket& b = bucket_for(e);
-    std::vector<kthread*> to_wake;
+    // The dequeued waiters, chained through wake_next_: no allocation.
+    kthread* to_wake = nullptr;
+    kthread** tail = &to_wake;
+    std::size_t n = 0;
     simple_lock(&b.lock);
     for (auto it = b.waiters.begin(); it != b.waiters.end();) {
       kthread* t = *it;
@@ -271,22 +290,30 @@ struct event_system {
       if (t->wait_event_ == e) {
         it = b.waiters.erase(it);
         t->queued_ = false;
-        to_wake.push_back(t);
+        t->wake_next_ = nullptr;
+        *tail = t;
+        tail = &t->wake_next_;
+        ++n;
         if (one) break;
       } else {
         ++it;
       }
     }
     simple_unlock(&b.lock);
-    ktrace::emit(trace_kind::thread_wakeup_ev, nullptr, reinterpret_cast<std::uint64_t>(e),
-                 to_wake.size());
-    if (to_wake.empty()) {
+    ktrace::emit(trace_kind::thread_wakeup_ev, nullptr, reinterpret_cast<std::uint64_t>(e), n);
+    if (n == 0) {
       kmet().sched_wakeups_no_waiter.inc();
       return;
     }
-    kmet().sched_wakeups.inc(to_wake.size());
-    kmet().sched_wait_queue_depth.sub(static_cast<std::int64_t>(to_wake.size()));
-    for (kthread* t : to_wake) deliver(t, wait_result::awakened);
+    kmet().sched_wakeups.inc(n);
+    kmet().sched_wait_queue_depth.sub(static_cast<std::int64_t>(n));
+    while (to_wake != nullptr) {
+      // Read the link first: once delivered, the thread may run on, wait
+      // again and be chained by another waker.
+      kthread* t = to_wake;
+      to_wake = t->wake_next_;
+      deliver(t, wait_result::awakened);
+    }
   }
 
   static void clear(kthread& t, wait_result r) {
@@ -335,6 +362,12 @@ void thread_wakeup(event_t event) { event_system::wakeup(event, /*one=*/false); 
 void thread_wakeup_one(event_t event) { event_system::wakeup(event, /*one=*/true); }
 
 void clear_wait(kthread& t, wait_result result) { event_system::clear(t, result); }
+
+bool spin_while_zero(const std::atomic<std::uint64_t>& word, std::chrono::nanoseconds limit) {
+  return event_system::poll(word, limit);
+}
+
+spin_gate_view spin_gate() noexcept { return event_system::gate(); }
 
 wait_result thread_sleep(event_t event, simple_lock_data_t* lock) {
   assert_wait(event);

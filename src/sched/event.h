@@ -26,10 +26,15 @@
 // budget (next_spin_budget) and only while the runnable kthreads leave a
 // usable CPU idle; then it parks. A wakeup caught in the spin counts as a
 // short-circuited block, and the waker skips the condvar notify for a
-// thread that has not parked.
+// thread that has not parked. The same spin loop, under the same budget
+// and gate, also watches a port's depth word (spin_while_zero): a
+// receiver polls its port before it asserts a wait, so a send that lands
+// in that poll makes no wakeup call at all.
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 
 #include "sched/kthread.h"
 #include "sync/simple_lock.h"
@@ -67,6 +72,23 @@ void clear_wait(kthread& t, wait_result result = wait_result::cleared);
 // Release `lock` and wait for `event`, atomically with respect to
 // thread_wakeup: assert_wait, simple_unlock, thread_block.
 wait_result thread_sleep(event_t event, simple_lock_data_t* lock);
+
+// Poll `word` until it reads non-zero, by the rules of thread_block's
+// spin phase: for at most the calling thread's spin budget, capped by
+// `limit`, and only while the spin gate is open. Returns whether the word
+// read non-zero; false means the budget ran out or the gate was shut, and
+// the caller takes its locked path. The poll does not change the budget:
+// only a wait that parks does.
+bool spin_while_zero(const std::atomic<std::uint64_t>& word, std::chrono::nanoseconds limit);
+
+// What the spin gate compares, for diagnostics: the runnable kthreads and
+// the usable CPUs (the affinity mask of the first thread to ask, cached).
+// The gate is open while runnable < usable_cpus.
+struct spin_gate_view {
+  int runnable;
+  int usable_cpus;
+};
+spin_gate_view spin_gate() noexcept;
 
 // thread_block's spin budget after a wait that parked and lasted `waited`,
 // in the manner of KVM halt polling: a wait that ended within the cap

@@ -55,6 +55,9 @@ class kthread {
   const std::string& name() const noexcept { return name_; }
   // Identity token shared with the lock-debugging layer.
   const void* token() const noexcept { return token_; }
+  // The spin budget of thread_block and spin_while_zero (sched/event.h).
+  // Only this thread writes it: read it from this thread or after join().
+  std::chrono::nanoseconds spin_budget() const noexcept { return spin_budget_; }
 
  private:
   friend struct event_system;
@@ -94,6 +97,10 @@ class kthread {
   // On an event bucket queue. Written under the owning bucket's lock;
   // atomic because clear_wait probes it cross-bucket.
   std::atomic<bool> queued_{false};
+  // The next thread in a waker's list of threads it dequeued and has yet
+  // to deliver to. Written under the bucket lock by the waker that
+  // dequeued this thread; the thread stays blocked until that delivery.
+  kthread* wake_next_ = nullptr;
   // kspan wait-for edge: the waker's span context, stored by the event
   // system's wakeup delivery (under wait_mutex_) and consumed by this
   // thread when its block ends, so the trace records who unblocked whom.

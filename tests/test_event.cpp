@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <string>
 
 #include "base/compiler.h"
 #include "metrics/kmetrics.h"
@@ -259,12 +261,24 @@ void busy_wait(std::chrono::microseconds d) {
 struct block_rounds {
   sched_counts delta{};
   int expected = 0;  // rounds whose block returned the expected result
+  std::chrono::nanoseconds budget{};  // the waiter's spin budget at the end
+  spin_gate_view gate{};              // what the spin gate saw after the last round
 };
+
+// The state a spin test prints when it fails.
+std::string describe(const block_rounds& r) {
+  return "waiter spin budget " + std::to_string(r.budget.count()) + " ns, runnable kthreads " +
+         std::to_string(r.gate.runnable) + ", usable CPUs " + std::to_string(r.gate.usable_cpus);
+}
 
 // A waiter blocks on `ev` `warmup` + `rounds` times. Each round, the
 // caller waits until the waiter is inside thread_block, then calls
 // `wake(waiter)`. The warm-up rounds first wait `warmup_delay` and are not
 // counted: parked waits that end within the cap grow the waiter's budget.
+// The waiter and the caller start on CPUs of their own (spread_and_wait):
+// a waiter spawned onto the caller's CPU and left there spins away the
+// very CPU the caller needs to wake it, so every wakeup comes after the
+// spin and nothing is caught.
 template <class Wake>
 block_rounds run_block_rounds(event_t ev, int warmup, std::chrono::microseconds warmup_delay,
                               int rounds, wait_result expect, Wake wake) {
@@ -272,7 +286,9 @@ block_rounds run_block_rounds(event_t ev, int warmup, std::chrono::microseconds 
   std::atomic<int> go{0};
   std::atomic<int> done{0};
   std::atomic<int> expected{0};
+  std::latch spread(2);
   auto waiter = kthread::spawn("spin-waiter", [&] {
+    testing::spread_and_wait(spread, 1);
     for (int i = 0; i < total; ++i) {
       while (go.load() <= i) std::this_thread::yield();
       assert_wait(ev);
@@ -280,6 +296,7 @@ block_rounds run_block_rounds(event_t ev, int warmup, std::chrono::microseconds 
       done.store(i + 1);
     }
   });
+  testing::spread_and_wait(spread, 0);
   sched_counts before{};
   for (int i = 0; i < total; ++i) {
     if (i == warmup) before = sched_now();
@@ -290,10 +307,13 @@ block_rounds run_block_rounds(event_t ev, int warmup, std::chrono::microseconds 
     while (done.load() < i + 1) std::this_thread::yield();
   }
   const sched_counts after = sched_now();
+  const spin_gate_view gate = spin_gate();
   waiter->join();
   return {{after.blocks - before.blocks, after.short_circuited - before.short_circuited,
            after.wakeups - before.wakeups, after.no_waiter - before.no_waiter},
-          expected.load()};
+          expected.load(),
+          waiter->spin_budget(),
+          gate};
 }
 
 // With the gate open, a wakeup that lands while the waiter spins ends the
@@ -314,7 +334,7 @@ TEST(EventSpin, WakeupWithinBudgetIsCaughtInTheSpin) {
                        [](kthread&) { thread_wakeup(&dummy_event_a); });
   EXPECT_EQ(r.expected, rounds);
   EXPECT_EQ(r.delta.blocks + r.delta.short_circuited, static_cast<std::uint64_t>(rounds));
-  EXPECT_GE(r.delta.short_circuited, static_cast<std::uint64_t>(rounds / 10));
+  EXPECT_GE(r.delta.short_circuited, static_cast<std::uint64_t>(rounds / 10)) << describe(r);
   EXPECT_EQ(r.delta.wakeups, static_cast<std::uint64_t>(rounds));
 }
 
@@ -326,7 +346,7 @@ TEST(EventSpin, ClearWaitReachesASpinningWaiter) {
                                           wait_result::cleared, [](kthread& t) { clear_wait(t); });
   EXPECT_EQ(r.expected, rounds);
   EXPECT_EQ(r.delta.blocks + r.delta.short_circuited, static_cast<std::uint64_t>(rounds));
-  EXPECT_GE(r.delta.short_circuited, static_cast<std::uint64_t>(rounds / 10));
+  EXPECT_GE(r.delta.short_circuited, static_cast<std::uint64_t>(rounds / 10)) << describe(r);
 }
 
 // As many runnable kthreads as usable CPUs close the gate: the waiter

@@ -3,6 +3,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "ipc/port.h"
 #include "ipc/space.h"
@@ -228,6 +233,169 @@ TEST(PortWakeup, ReceiverAfterATimedOutReceiveIsWoken) {
   expect_blocked_receiver_woken(*p);
 }
 
+// --- receive polls the port's depth word before it waits ---
+
+void busy_wait(std::chrono::microseconds d) {
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) cpu_relax();
+}
+
+// A kthread that makes one receive(5s) per round on the port the test
+// hands it. It starts on a CPU of its own (spread_and_wait): a thread
+// spawned from the test thread can stay on its CPU, and a receiver
+// polling there would hold off the send it waits for.
+class round_receiver {
+ public:
+  round_receiver() : rx_(kthread::spawn("poll-rx", [this] {
+                       testing::spread_and_wait(spread_, 1);
+                       loop();
+                     })) {
+    testing::spread_and_wait(spread_, 0);
+  }
+  ~round_receiver() { stop(); }
+
+  // Hand the receiver `p`; returns once it is about to call p.receive.
+  void begin(port& p) {
+    target_.store(&p);
+    while (target_.load() != nullptr) std::this_thread::yield();
+  }
+  // Wait for that receive to return; whether it got a message.
+  bool end() {
+    while (!returned_.exchange(false)) std::this_thread::yield();
+    return got_.load();
+  }
+  kthread& thread() { return *rx_; }
+  // Join the receiver; its spin budget when it left.
+  std::chrono::nanoseconds stop() {
+    if (!stopped_) {
+      stop_.store(true);
+      rx_->join();
+      stopped_ = true;
+    }
+    return budget_;
+  }
+
+ private:
+  void loop() {
+    for (;;) {
+      port* p = nullptr;
+      while ((p = target_.load()) == nullptr) {
+        if (stop_.load()) {
+          budget_ = kthread::current().spin_budget();
+          return;
+        }
+        std::this_thread::yield();
+      }
+      target_.store(nullptr);
+      got_.store(p->receive(5s).has_value());
+      returned_.store(true);
+    }
+  }
+
+  std::latch spread_{2};
+  std::atomic<port*> target_{nullptr};
+  std::atomic<bool> got_{false};
+  std::atomic<bool> returned_{false};
+  std::atomic<bool> stop_{false};
+  bool stopped_ = false;
+  std::chrono::nanoseconds budget_{};
+  std::unique_ptr<kthread> rx_;
+};
+
+// Grow the receiver's spin budget: parked waits that a send ends 50 us
+// after the receiver blocks end within the cap, so each doubles the
+// budget until the spin in thread_block outlasts the delay (80 us with
+// the gate open; the cap with it shut, since then nothing spins).
+void warm_up(round_receiver& rx, port& p) {
+  for (int i = 0; i < 6; ++i) {
+    rx.begin(p);
+    EXPECT_TRUE(testing::wait_until_blocked(rx.thread()));
+    busy_wait(50us);
+    EXPECT_EQ(p.send(message(0)), KERN_SUCCESS);
+    EXPECT_TRUE(rx.end());
+  }
+}
+
+// Rounds in which the test sends 20 us after the receiver calls receive,
+// well inside its warmed budget. Returns how many sends made a wakeup
+// call; every message must arrive.
+int sends_that_woke(round_receiver& rx, port& p, int rounds) {
+  int woke = 0;
+  for (int i = 0; i < rounds; ++i) {
+    rx.begin(p);
+    busy_wait(20us);
+    const std::uint64_t before = wakeup_calls();
+    EXPECT_EQ(p.send(message(static_cast<std::uint32_t>(i))), KERN_SUCCESS);
+    if (wakeup_calls() != before) ++woke;
+    EXPECT_TRUE(rx.end()) << "round " << i;
+  }
+  return woke;
+}
+
+std::string gate_state(std::chrono::nanoseconds budget) {
+  const spin_gate_view g = spin_gate();
+  return "receiver spin budget " + std::to_string(budget.count()) + " ns, runnable kthreads " +
+         std::to_string(g.runnable) + ", usable CPUs " + std::to_string(g.usable_cpus);
+}
+
+// A receiver still polling the depth word takes the message itself: the
+// send finds no asserted wait and makes no wakeup call (the sender skips
+// the bucket lock, the waiter scan and the waiter's mutex). A receiver
+// that asserts its wait as soon as it finds the queue empty makes every
+// one of these sends call thread_wakeup_one. A loaded host can still
+// delay a send past the poll, so half the rounds must be wakeup-free; an
+// idle 4-CPU host has all of them.
+TEST(PortWakeup, PollingReceiverTakesASendWithoutAWakeup) {
+  // The test thread and the receiver are runnable; the gate needs a third
+  // CPU left idle.
+  if (testing::usable_cpus() < 3) GTEST_SKIP() << "the spin gate needs at least 3 usable CPUs here";
+  testing::kmon_scope metrics;
+  auto p = make_object<port>();
+  round_receiver rx;
+  warm_up(rx, *p);
+  constexpr int rounds = 20;
+  const int woke = sends_that_woke(rx, *p, rounds);
+  const std::chrono::nanoseconds budget = rx.stop();
+  EXPECT_LE(woke, rounds / 2) << woke << " " << gate_state(budget);
+}
+
+// With the spin gate shut (as many runnable kthreads as usable CPUs, as
+// in EventSpin.RunnableKthreadsCloseTheGate), receive does not poll even
+// with a warm budget: it asserts its wait at once and parks, and the send
+// wakes it.
+TEST(PortWakeup, ClosedGateReceiverParks) {
+  testing::kmon_scope metrics;
+  std::atomic<bool> stop{false};
+  std::vector<std::unique_ptr<kthread>> busy;
+  for (int i = 0; i < testing::usable_cpus(); ++i) {
+    busy.push_back(kthread::spawn("busy" + std::to_string(i), [&] {
+      while (!stop.load()) std::this_thread::sleep_for(200us);
+    }));
+  }
+  auto p = make_object<port>();
+  round_receiver rx;
+  warm_up(rx, *p);
+  constexpr int rounds = 20;
+  const std::uint64_t blocks = kmet().sched_blocks.value();
+  const int woke = sends_that_woke(rx, *p, rounds);
+  const std::uint64_t parked = kmet().sched_blocks.value() - blocks;
+  const std::chrono::nanoseconds budget = rx.stop();
+  stop.store(true);
+  for (auto& t : busy) t->join();
+  EXPECT_GE(woke, rounds / 2) << gate_state(budget);
+  EXPECT_GE(parked, static_cast<std::uint64_t>(woke)) << gate_state(budget);
+}
+
+TEST(Port, TryReceiveOnEmptyPortTakesNoLock) {
+  auto p = make_object<port>();
+  const std::uint64_t before = p->lock_addr()->stat_acquisitions;
+  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(p->try_receive().has_value());
+  EXPECT_EQ(p->lock_addr()->stat_acquisitions - before, 0u);
+  // A message makes the word non-zero: the next call locks and takes it.
+  EXPECT_EQ(p->send(message(3)), KERN_SUCCESS);
+  EXPECT_TRUE(p->try_receive().has_value());
+}
+
 // --- the port-receive / teardown races fixed in this PR ---
 
 TEST(PortRace, TimedOutReceiverRechecksQueueUnderPortLock) {
@@ -332,6 +500,25 @@ TEST(PortRace, DestroyVsConcurrentSendNeverStrandsMessages) {
   }
   EXPECT_EQ(stranded, 0) << "messages stranded in dead ports";
   EXPECT_EQ(leaked, 0u) << "carried rights leaked through teardown";
+}
+
+// destroy_port marks the depth word dead, so a receiver polling it leaves
+// at once, not when its budget runs out, and does not wait on a dead port.
+TEST(PortRace, DestroyEndsAPollingReceiver) {
+  round_receiver rx;
+  {
+    auto warm = make_object<port>("warm");
+    warm_up(rx, *warm);
+  }
+  for (int i = 0; i < 10; ++i) {
+    auto p = make_object<port>();
+    rx.begin(*p);
+    busy_wait(20us);
+    const auto start = std::chrono::steady_clock::now();
+    p->destroy_port();
+    EXPECT_FALSE(rx.end()) << "round " << i;
+    EXPECT_LT(std::chrono::steady_clock::now() - start, 50ms) << "round " << i;
+  }
 }
 
 // --- IPC space ---
